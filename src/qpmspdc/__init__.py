@@ -7,8 +7,7 @@ law and a joint-amplitude transport oracle.
 """
 from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
                        coincidence_scan_analytic, coincidence_scan_oracle,
-                       filter_transmission, normalized_cross_correlation,
-                       spectral_envelope)
+                       normalized_cross_correlation, spectral_envelope)
 from .config import (DispersionConfig, NumericsConfig, ScenarioConfig,
                      load_scenario, parse_scenario_text, scenario_to_text)
 from .core import (AXES, VACUUM_LIGHT_SPEED, CrystalSpec, DetectionGeometry,
@@ -20,10 +19,9 @@ from .errors import (ConfigError, GridCompatibilityError, GridSizeError,
                      GuardError, ParaxialityError, PhaseMatchingError,
                      SamplingGuardError, SimulationError, ValidationError,
                      WavelengthWindowError)
-from .fields import (AngularSpectrum, FreeSpace, MultiSlitAperture,
-                     SampledField, ThinLens, apply_element,
-                     detection_plane_profile, gaussian_source, propagate,
-                     pump_spectrum_at_crystal, to_angular_spectrum,
+from .fields import (AngularSpectrum, MultiSlitAperture, SampledField,
+                     ThinLens, apply_element, gaussian_source,
+                     march_to_crystal_exit, propagate, to_angular_spectrum,
                      to_sampled_field)
 from .phasematch import (QpmGrating, design_poling_period, delta_kz_paraxial,
                          detector_angle, efficiency_drop_over_scan,

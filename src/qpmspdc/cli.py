@@ -3,8 +3,9 @@
 Commands: ``maker-fringes``, ``design-poling``, ``pump-propagate``, and
 ``coincidence-scan``, each driven by a scenario config (``--config`` takes a
 file path or a bundled preset name). CSV goes to ``--out``; ``--plot`` writes
-a best-effort SVG next to it. Exit codes: 0 success, 2 configuration error,
-3 numerical or physical guard error. Diagnostics and warnings go to stderr.
+a best-effort SVG next to it. Exit codes: 0 success, 2 configuration error
+(including an unreadable input or unwritable output path), 3 numerical or
+physical guard error. Diagnostics and warnings go to stderr.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import argparse
 import math
 import sys
 
-from .biphoton import write_scan_csv
+import numpy as np
+
+from .biphoton import ScanResult
 from .config import PRESET_NAMES, load_scenario
 from .errors import GuardError, ValidationError
 from .scenarios import (design_report, maker_curve, pump_profile,
@@ -20,6 +23,48 @@ from .scenarios import (design_report, maker_curve, pump_profile,
 from .svg import write_line_plot
 
 _MODE_TAGS = {"both": "both-together", "signal": "signal-only", "idler": "idler-only"}
+
+
+def write_table(path, header, names, columns) -> None:
+    """CSV: one ``# key = value`` line per header pair, the column names, then rows.
+
+    String header values are written as they are, numbers by repr. Every
+    column is written at full precision, each cell as the repr of its float.
+    """
+    lines = [f"# {key} = {value if isinstance(value, str) else repr(value)}"
+             for key, value in header]
+    lines.append(",".join(names))
+    row = ",".join(["%r"] * len(columns))
+    lines.extend(row % cells for cells in
+                 zip(*(np.asarray(col, dtype=float).tolist() for col in columns)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_scan_csv(result: ScanResult, path, *, raw: bool = False,
+                   companion: ScanResult | None = None) -> None:
+    """Scan CSV: metadata header then p_m,rate rows.
+
+    A companion scan (same positions, other method) adds a second rate column;
+    ``raw`` undoes the unit-peak normalization using the stored peak.
+    """
+    meta = result.metadata
+    header = [("mode", result.mode), ("method", meta["method"]),
+              ("detector_distance_m", meta["detector_distance_m"]),
+              ("slit_width_m", meta["slit_width_m"]),
+              ("normalization_peak", meta["normalization_peak"])]
+    header += [("warning", warning) for warning in result.warnings]
+    names = ["p_m", "rate"]
+    scans = [result]
+    if companion is not None:
+        if not np.array_equal(companion.positions, result.positions):
+            raise ValidationError("companion scan must share the position grid")
+        header.append(("companion_method", companion.metadata["method"]))
+        names.append("rate_companion")
+        scans.append(companion)
+    rates = [scan.rates * (scan.metadata["normalization_peak"] if raw else 1.0)
+             for scan in scans]
+    write_table(path, header, names, [result.positions, *rates])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,15 +115,9 @@ def _cmd_maker_fringes(args: argparse.Namespace) -> int:
     alphas, eff = maker_curve(config,
                               alpha_max=math.radians(args.alpha_max_deg),
                               alpha_step=math.radians(args.alpha_step_deg))
-    lines = [
-        f"# angle_convention = {config.numerics.angle_convention}",
-        f"# poling_period_m = {config.crystal.poling_period!r}",
-        "alpha_rad,efficiency",
-    ]
-    for a, e in zip(alphas, eff):
-        lines.append(f"{float(a)!r},{float(e)!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(args.out, [("angle_convention", config.numerics.angle_convention),
+                           ("poling_period_m", config.crystal.poling_period)],
+                ("alpha_rad", "efficiency"), (alphas, eff))
     if args.plot:
         write_line_plot(args.plot, alphas, [("efficiency", eff)],
                         title="QPM efficiency vs emission angle",
@@ -116,22 +155,15 @@ def _cmd_pump_propagate(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     profile = pump_profile(config)
     intensity = profile.intensity
-    scale = 1.0
     if config.numerics.normalize:
-        scale = 1.0 / float(intensity.max())
-    lines = [
-        f"# wavelength_m = {profile.wavelength!r}",
-        f"# detector_distance_m = {config.detection.distance!r}",
-        f"# grid_extent_m = {profile.extent!r}",
-        f"# sample_count = {profile.sample_count}",
-        "x_m,intensity",
-    ]
-    for x, value in zip(profile.x, intensity):
-        lines.append(f"{float(x)!r},{float(value * scale)!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        intensity = intensity * (1.0 / float(intensity.max()))
+    write_table(args.out, [("wavelength_m", profile.wavelength),
+                           ("detector_distance_m", config.detection.distance),
+                           ("grid_extent_m", profile.extent),
+                           ("sample_count", profile.sample_count)],
+                ("x_m", "intensity"), (profile.x, intensity))
     if args.plot:
-        write_line_plot(args.plot, profile.x * 1e3, [("intensity", intensity * scale)],
+        write_line_plot(args.plot, profile.x * 1e3, [("intensity", intensity)],
                         title="Pump intensity at the detection plane",
                         x_label="x (mm)", y_label="intensity")
     return 0
@@ -148,8 +180,8 @@ def _cmd_coincidence_scan(args: argparse.Namespace) -> int:
             continue
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    raw = not config.numerics.normalize
-    write_scan_csv(primary, args.out, raw=raw, companion=companion)
+    write_scan_csv(primary, args.out, raw=not config.numerics.normalize,
+                   companion=companion)
     if output.correlation is not None:
         print(f"cross_correlation = {output.correlation!r}")
     if args.plot:
@@ -177,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

@@ -75,7 +75,10 @@ class DispersionConfig:
         if self.kind == "constant":
             return ConstantIndexModel(self.constant_index)
         if self.kind == "table":
-            return TabulatedIndexModel.from_file(self.table_path)
+            try:
+                return TabulatedIndexModel.from_file(self.table_path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"[dispersion] cannot read table_path: {exc}") from exc
         raise ConfigError(f"unknown dispersion model kind {self.kind!r}")
 
 
@@ -89,7 +92,6 @@ class NumericsConfig:
     joint_q_extent: float = 0.0  # rad/m; 0 selects automatic sizing
     angle_convention: str = "external"
     paraxial_bound: float = 0.2
-    spectral_tail_tol: float = 0.05
     normalize: bool = True
 
 
@@ -260,8 +262,6 @@ def _parse_detection(section: _Section) -> DetectionGeometry:
         slit_width=section.number("slit_width_mm") / _MM,
         scan_range=section.number("scan_range_mm") / _MM,
         scan_step=section.number("scan_step_mm") / _MM,
-        filter_center=section.number("filter_center_nm") / _NM,
-        filter_fwhm=section.number("filter_fwhm_nm") / _NM,
     )
     section.reject_unknown()
     return geometry
@@ -305,7 +305,6 @@ def _parse_numerics(section: _Section) -> NumericsConfig:
         angle_convention=section.string("angle_convention", "external",
                                         choices=CONVENTIONS),
         paraxial_bound=section.number("paraxial_bound", 0.2),
-        spectral_tail_tol=section.number("spectral_tail_tol", 0.05),
         normalize=section.boolean("normalize", True),
     )
     section.reject_unknown()
@@ -390,8 +389,6 @@ def scenario_to_text(config: ScenarioConfig) -> str:
         f"slit_width_mm = {_exact_repr(d.slit_width, _MM)}",
         f"scan_range_mm = {_exact_repr(d.scan_range, _MM)}",
         f"scan_step_mm = {_exact_repr(d.scan_step, _MM)}",
-        f"filter_center_nm = {_exact_repr(d.filter_center, _NM)}",
-        f"filter_fwhm_nm = {_exact_repr(d.filter_fwhm, _NM)}",
     ]
     for index, (position, element) in enumerate(config.elements, start=1):
         lines += ["", f"[element.{index}]"]
@@ -425,7 +422,6 @@ def scenario_to_text(config: ScenarioConfig) -> str:
         f"joint_q_extent = {n.joint_q_extent!r}",
         f"angle_convention = {n.angle_convention}",
         f"paraxial_bound = {n.paraxial_bound!r}",
-        f"spectral_tail_tol = {n.spectral_tail_tol!r}",
         f"normalize = {'true' if n.normalize else 'false'}",
     ]
     return "\n".join(lines) + "\n"

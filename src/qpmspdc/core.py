@@ -55,6 +55,13 @@ def gamma_from_pulse_width(tau: float) -> float:
     return tau**-2
 
 
+def frozen_array(values, dtype) -> np.ndarray:
+    """Read-only copy of values as an array of dtype."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValidationError(message)
@@ -147,19 +154,17 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class DetectionGeometry:
-    """Detector plane distance, slit, scan extent, and interference filter.
+    """Detector plane distance, slit, and scan extent.
 
     distance is crystal-to-detection-plane in metres. scan_range is the total
-    scan extent centred on the axis; positions run over +-scan_range/2.
-    Filter transmission is Gaussian in wavelength with the given FWHM.
+    scan extent centred on the axis; positions run over +-scan_range/2 in
+    scan_step increments, so the step must divide the range.
     """
 
     distance: float
     slit_width: float
     scan_range: float
     scan_step: float
-    filter_center: float
-    filter_fwhm: float
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.distance) and self.distance > 0,
@@ -170,10 +175,13 @@ class DetectionGeometry:
                  f"scan step must be positive, got {self.scan_step!r}")
         _require(math.isfinite(self.scan_range) and self.scan_step <= self.scan_range,
                  f"scan step {self.scan_step!r} must not exceed scan range {self.scan_range!r}")
-        _require(math.isfinite(self.filter_center) and self.filter_center > 0,
-                 f"filter centre wavelength must be positive, got {self.filter_center!r}")
-        _require(math.isfinite(self.filter_fwhm) and self.filter_fwhm > 0,
-                 f"filter FWHM must be positive, got {self.filter_fwhm!r}")
+        ratio = self.scan_range / self.scan_step
+        _require(math.isfinite(ratio),
+                 f"scan step {self.scan_step!r} is too small for scan range {self.scan_range!r}")
+        steps = round(ratio)
+        _require(abs(steps * self.scan_step - self.scan_range) <= 1e-9 * self.scan_range,
+                 f"scan step {self.scan_step!r} m does not divide scan range "
+                 f"{self.scan_range!r} m; nearest valid step is {self.scan_range / steps!r} m")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ Sampling guard. The propagator is a pure phase, so it is exactly unitary;
 what can go wrong is spectral content at the edge of the q grid (undersampled
 source structure) wrapping around. ``propagate`` therefore measures the
 spectral power near the grid edge and refuses to run when more than
-``spectral_tail_tol`` of it sits there; the error suggests the sample count
+``SPECTRAL_TAIL_TOL`` of it sits there; the error suggests the sample count
 that would contain the same tail.
 """
 from __future__ import annotations
@@ -27,11 +27,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CrystalSpec, PumpSpec
+from .core import CrystalSpec, PumpSpec, frozen_array
 from .dispersion import IndexModel
 from .errors import GridSizeError, SamplingGuardError, ValidationError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# Largest spectral power fraction near the q-grid edge that propagate accepts.
+SPECTRAL_TAIL_TOL = 0.05
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -46,34 +49,36 @@ def _centered_grid(count: int, step: float) -> np.ndarray:
     return (np.arange(count) - count // 2) * step
 
 
+def _freeze_samples(grid, what: str, extent: float) -> np.ndarray:
+    """Validate a sampled grid's values, extent and wavelength; store values read-only."""
+    values = frozen_array(grid.values, complex)
+    if values.ndim != 1 or not _is_power_of_two(values.size):
+        raise ValidationError(
+            f"{what} values must be a 1D array with power-of-two length, got shape {values.shape}")
+    if not (math.isfinite(extent) and extent > 0):
+        raise ValidationError(f"{what} extent must be positive, got {extent!r}")
+    if not (math.isfinite(grid.wavelength) and grid.wavelength > 0):
+        raise ValidationError(f"wavelength must be positive, got {grid.wavelength!r}")
+    object.__setattr__(grid, "values", values)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SampledField:
     """Complex scalar field on a uniform, centred transverse grid.
 
     values has a power-of-two length; extent is the full grid width in metres;
-    wavelength is the vacuum wavelength; plane_z records the longitudinal
-    coordinate of the sampling plane (bookkeeping only).
+    wavelength is the vacuum wavelength.
     """
 
     values: np.ndarray
     extent: float
     wavelength: float
-    plane_z: float = 0.0
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or not _is_power_of_two(values.size):
-            raise ValidationError(
-                f"field values must be a 1D array with power-of-two length, got shape {values.shape}")
-        if not (math.isfinite(self.extent) and self.extent > 0):
-            raise ValidationError(f"grid extent must be positive, got {self.extent!r}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValidationError(f"wavelength must be positive, got {self.wavelength!r}")
+        values = _freeze_samples(self, "field", self.extent)
         if not np.all(np.isfinite(values.view(float))):
             raise ValidationError("field values must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
         if not self.power > 0:
             raise ValidationError("field must carry positive total power")
 
@@ -105,20 +110,9 @@ class AngularSpectrum:
     values: np.ndarray
     q_extent: float
     wavelength: float
-    plane_z: float = 0.0
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or not _is_power_of_two(values.size):
-            raise ValidationError(
-                f"spectrum values must be a 1D array with power-of-two length, got shape {values.shape}")
-        if not (math.isfinite(self.q_extent) and self.q_extent > 0):
-            raise ValidationError(f"q extent must be positive, got {self.q_extent!r}")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValidationError(f"wavelength must be positive, got {self.wavelength!r}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _freeze_samples(self, "spectrum", self.q_extent)
 
     @property
     def sample_count(self) -> int:
@@ -163,7 +157,7 @@ def to_angular_spectrum(field: SampledField) -> AngularSpectrum:
     spec = np.fft.fftshift(np.fft.fft(shifted)) * (field.dx / _SQRT2PI)
     dq = 2.0 * math.pi / field.extent
     return AngularSpectrum(values=spec, q_extent=dq * field.sample_count,
-                           wavelength=field.wavelength, plane_z=field.plane_z)
+                           wavelength=field.wavelength)
 
 
 def to_sampled_field(spectrum: AngularSpectrum) -> SampledField:
@@ -172,8 +166,7 @@ def to_sampled_field(spectrum: AngularSpectrum) -> SampledField:
     shifted = np.fft.ifftshift(spectrum.values)
     values = np.fft.fftshift(np.fft.ifft(shifted)) * (n * spectrum.dq / _SQRT2PI)
     extent = 2.0 * math.pi / spectrum.dq
-    return SampledField(values=values, extent=extent,
-                        wavelength=spectrum.wavelength, plane_z=spectrum.plane_z)
+    return SampledField(values=values, extent=extent, wavelength=spectrum.wavelength)
 
 
 def _spectral_tail_fraction(spectrum: AngularSpectrum, edge_band: float = 0.1) -> float:
@@ -187,8 +180,8 @@ def _spectral_tail_fraction(spectrum: AngularSpectrum, edge_band: float = 0.1) -
     return float(np.sum(np.abs(spectrum.values[band]) ** 2)) / total
 
 
-def propagate(field: SampledField, distance: float, medium_index: float = 1.0,
-              *, spectral_tail_tol: float = 0.05) -> SampledField:
+def propagate(field: SampledField, distance: float,
+              medium_index: float = 1.0) -> SampledField:
     """Angular-spectrum propagation by exp(-i q^2 d / (2 k n)) per component.
 
     Exactly power conserving. distance = 0 is the identity. A negative
@@ -204,20 +197,17 @@ def propagate(field: SampledField, distance: float, medium_index: float = 1.0,
         return field
     spectrum = to_angular_spectrum(field)
     tail = _spectral_tail_fraction(spectrum)
-    if tail > spectral_tail_tol:
+    if tail > SPECTRAL_TAIL_TOL:
         suggested = _next_power_of_two(
-            int(math.ceil(field.sample_count * tail / spectral_tail_tol)))
+            int(math.ceil(field.sample_count * tail / SPECTRAL_TAIL_TOL)))
         raise SamplingGuardError(
             f"spectral power fraction {tail:.3g} at the q-grid edge exceeds "
-            f"{spectral_tail_tol:.3g}; the source structure is undersampled",
+            f"{SPECTRAL_TAIL_TOL:.3g}; the source structure is undersampled",
             suggested_samples=suggested)
     k = 2.0 * math.pi / field.wavelength
     q = spectrum.q
     phase = np.exp(-1j * q**2 * distance / (2.0 * k * medium_index))
-    out = AngularSpectrum(values=spectrum.values * phase, q_extent=spectrum.q_extent,
-                          wavelength=spectrum.wavelength,
-                          plane_z=spectrum.plane_z + distance)
-    return to_sampled_field(out)
+    return to_sampled_field(replace(spectrum, values=spectrum.values * phase))
 
 
 @dataclass(frozen=True)
@@ -259,21 +249,7 @@ class MultiSlitAperture:
         return open_region.astype(float)
 
 
-@dataclass(frozen=True)
-class FreeSpace:
-    """Homogeneous gap of geometric length distance and refractive index."""
-
-    distance: float
-    medium_index: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance) and self.distance >= 0):
-            raise ValidationError(f"free-space distance must be >= 0, got {self.distance!r}")
-        if not (math.isfinite(self.medium_index) and self.medium_index > 0):
-            raise ValidationError(f"medium index must be positive, got {self.medium_index!r}")
-
-
-OpticalElement = ThinLens | MultiSlitAperture | FreeSpace
+OpticalElement = ThinLens | MultiSlitAperture
 
 
 def apply_element(field: SampledField, element: OpticalElement) -> SampledField:
@@ -287,15 +263,17 @@ def apply_element(field: SampledField, element: OpticalElement) -> SampledField:
             raise GridSizeError(
                 f"aperture span {element.span:.4g} m exceeds grid extent {field.extent:.4g} m")
         return replace(field, values=field.values * element.mask(field.x))
-    if isinstance(element, FreeSpace):
-        return propagate(field, element.distance, element.medium_index)
     raise ValidationError(f"unknown optical element {element!r}")
 
 
-def _march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
-                           model: IndexModel, *, grid_extent: float,
-                           sample_count: int) -> SampledField:
+def march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
+                          model: IndexModel, *, grid_extent: float,
+                          sample_count: int) -> SampledField:
     """Source -> elements -> crystal entrance -> effective interior -> exit face.
+
+    The exit-face field is the biphoton source (its angular spectrum feeds the
+    joint amplitude) and, propagated on to the detection plane, the W whose
+    squared modulus the near-collinear coincidence profile follows.
 
     Element positions are longitudinal coordinates with the crystal entrance
     face at z = 0 (upstream negative); they must be sorted, at or before the
@@ -316,7 +294,6 @@ def _march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
         last = z_e
     field = gaussian_source(pump.waist_radius, pump.center_wavelength,
                             grid_extent=grid_extent, sample_count=sample_count)
-    field = replace(field, plane_z=pump.waist_position)
     z = pump.waist_position
     for z_e, element in placed:
         field = propagate(field, z_e - z)
@@ -325,42 +302,3 @@ def _march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
     field = propagate(field, 0.0 - z)
     n0 = model.index(pump.center_wavelength, crystal.pump_axis, crystal.temperature_c)
     return propagate(field, crystal.length, medium_index=n0)
-
-
-def pump_spectrum_at_crystal(pump: PumpSpec, elements, crystal: CrystalSpec,
-                             model: IndexModel, *, grid_extent: float,
-                             sample_count: int) -> AngularSpectrum:
-    """Pump angular spectrum at the crystal exit face (biphoton source plane)."""
-    field = _march_to_crystal_exit(pump, elements, crystal, model,
-                                   grid_extent=grid_extent, sample_count=sample_count)
-    return to_angular_spectrum(field)
-
-
-def detection_plane_profile(pump: PumpSpec, elements, crystal: CrystalSpec,
-                            model: IndexModel, detector_distance: float,
-                            *, grid_extent: float, sample_count: int) -> SampledField:
-    """Pump field at the detection plane, detector_distance past the crystal.
-
-    This is what a power meter in the detection plane measures, and the W
-    whose squared modulus the near-collinear coincidence profile follows.
-    """
-    if not (math.isfinite(detector_distance) and detector_distance > 0):
-        raise ValidationError(f"detector distance must be positive, got {detector_distance!r}")
-    field = _march_to_crystal_exit(pump, elements, crystal, model,
-                                   grid_extent=grid_extent, sample_count=sample_count)
-    return propagate(field, detector_distance)
-
-
-def write_field_csv(field: SampledField, path) -> None:
-    """CSV export: metadata header then x_m,re,im,intensity rows."""
-    lines = [
-        f"# wavelength_m = {field.wavelength!r}",
-        f"# plane_z_m = {field.plane_z!r}",
-        f"# grid_extent_m = {field.extent!r}",
-        f"# sample_count = {field.sample_count}",
-        "x_m,re,im,intensity",
-    ]
-    for x, v in zip(field.x, field.values):
-        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r},{float(abs(v) ** 2)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -20,8 +20,8 @@ from .core import VACUUM_LIGHT_SPEED as C
 from .core import FrequencyPair, vacuum_wavelength
 from .dispersion import IndexModel
 from .errors import ValidationError
-from .fields import (AngularSpectrum, SampledField, detection_plane_profile,
-                     pump_spectrum_at_crystal)
+from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
+                     propagate, to_angular_spectrum)
 from .phasematch import (QpmGrating, _crystal_indices, design_poling_period,
                          delta_kz_paraxial, fourier_coefficient,
                          maker_efficiency)
@@ -35,20 +35,22 @@ def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
     return FrequencyPair.degenerate(config.pump.omega)
 
 
-def pump_profile(config: ScenarioConfig) -> SampledField:
-    """Pump field at the detection plane (the power-meter measurement)."""
-    return detection_plane_profile(
-        config.pump, config.elements, config.crystal, index_model_for(config),
-        config.detection.distance, grid_extent=config.numerics.grid_extent,
-        sample_count=config.numerics.grid_samples)
-
-
-def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
-    """Pump angular spectrum at the crystal plane (biphoton source)."""
-    return pump_spectrum_at_crystal(
+def _crystal_exit_field(config: ScenarioConfig) -> SampledField:
+    """Pump field at the crystal exit face, marched through the optical train."""
+    return march_to_crystal_exit(
         config.pump, config.elements, config.crystal, index_model_for(config),
         grid_extent=config.numerics.grid_extent,
         sample_count=config.numerics.grid_samples)
+
+
+def pump_profile(config: ScenarioConfig) -> SampledField:
+    """Pump field at the detection plane (the power-meter measurement)."""
+    return propagate(_crystal_exit_field(config), config.detection.distance)
+
+
+def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
+    """Pump angular spectrum at the crystal exit face (biphoton source)."""
+    return to_angular_spectrum(_crystal_exit_field(config))
 
 
 def _round_up(value: float, multiple: int) -> int:
@@ -125,16 +127,18 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
         raise ValidationError(f"method must be analytic, oracle, or both, got {method!r}")
     model = index_model_for(config)
     freqs = degenerate_pair(config)
+    exit_field = _crystal_exit_field(config)
     analytic = None
     oracle = None
     if method in ("analytic", "both"):
-        profile = pump_profile(config)
+        profile = propagate(exit_field, config.detection.distance)
         analytic = coincidence_scan_analytic(
             profile, config.detection, detectors, crystal=config.crystal,
             model=model, freqs=freqs,
             convention=config.numerics.angle_convention)
     if method in ("oracle", "both"):
-        amplitude = joint_amplitude(config)
+        amplitude = joint_amplitude(config, include_phase=False,
+                                    spectrum=to_angular_spectrum(exit_field))
         oracle = coincidence_scan_oracle(amplitude, config.detection, detectors)
     correlation = None
     if analytic is not None and oracle is not None:

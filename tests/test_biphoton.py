@@ -5,11 +5,11 @@ import pytest
 
 from qpmspdc.biphoton import (ScanResult, build_joint_amplitude,
                               coincidence_scan_analytic,
-                              coincidence_scan_oracle, filter_transmission,
+                              coincidence_scan_oracle,
                               normalized_cross_correlation,
                               sample_pump_spectrum, scan_positions,
-                              spectral_envelope, write_joint_amplitude_csv,
-                              write_scan_csv)
+                              spectral_envelope)
+from qpmspdc.cli import write_scan_csv
 from qpmspdc.config import parse_scenario_text, scenario_to_text
 from qpmspdc.core import (CrystalSpec, DetectionGeometry, FrequencyPair,
                           PumpSpec, angular_frequency)
@@ -38,8 +38,7 @@ def gaussian_spectrum(waist=0.5e-3):
 
 
 def geometry(**overrides):
-    base = dict(distance=0.5, slit_width=1e-4, scan_range=2e-3, scan_step=2e-5,
-                filter_center=826e-9, filter_fwhm=2e-9)
+    base = dict(distance=0.5, slit_width=1e-4, scan_range=2e-3, scan_step=2e-5)
     base.update(overrides)
     return DetectionGeometry(**base)
 
@@ -63,38 +62,6 @@ class TestSpectralEnvelope:
         assert spectral_envelope(DEGENERATE, cw) == 1.0
         detuned = FrequencyPair(OMEGA_PUMP / 2, OMEGA_PUMP / 2, delta_omega=1e5)
         assert spectral_envelope(detuned, cw) == 0.0
-
-
-class TestFilterTransmission:
-    def test_unity_at_center(self):
-        assert filter_transmission(angular_frequency(826e-9), geometry()) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_half_at_half_width(self):
-        for sign in (1.0, -1.0):
-            omega = angular_frequency(826e-9 + sign * 1e-9)
-            assert filter_transmission(omega, geometry()) == pytest.approx(0.5, rel=1e-9)
-
-    def test_four_nanometre_detuning(self):
-        omega = angular_frequency(830e-9)
-        assert filter_transmission(omega, geometry()) == pytest.approx(2.0 ** -16,
-                                                                       rel=1e-9)
-
-    def test_product_with_envelope_peaks_at_degeneracy(self):
-        geo = geometry()
-
-        def product(ds, di):
-            pair = FrequencyPair(OMEGA_PUMP / 2 + ds, OMEGA_PUMP / 2 + di,
-                                 delta_omega=-(ds + di))
-            return (spectral_envelope(pair, PUMP)
-                    * filter_transmission(pair.omega_signal, geo)
-                    * filter_transmission(pair.omega_idler, geo))
-
-        center = product(0.0, 0.0)
-        offsets = np.linspace(-4e13, 4e13, 41)
-        for ds in offsets:
-            for di in offsets[::8]:
-                assert product(ds, di) <= center + 1e-15
 
 
 class TestBuildJointAmplitude:
@@ -273,6 +240,16 @@ class TestScans:
         assert all("regime violation" not in w
                    for w in preset1_both.analytic.warnings)
 
+    def test_both_methods_share_one_pump_march(self, preset1):
+        from unittest import mock
+
+        from qpmspdc import scenarios
+
+        with mock.patch.object(scenarios, "march_to_crystal_exit",
+                               wraps=scenarios.march_to_crystal_exit) as march:
+            run_coincidence(preset1, method="both")
+        assert march.call_count == 1
+
 
 class TestScanResult:
     def test_positions_must_increase(self):
@@ -318,14 +295,3 @@ class TestCsvOutputs:
         lines = path.read_text(encoding="utf-8").splitlines()
         header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
         assert lines[header] == "p_m,rate,rate_companion"
-
-    def test_joint_amplitude_csv(self, tmp_path):
-        amplitude = build_joint_amplitude(
-            gaussian_spectrum(), PUMP, vacuum_crystal(), DEGENERATE,
-            ConstantIndexModel(1.7), q_extent=5e4, samples=16)
-        path = tmp_path / "joint.csv"
-        write_joint_amplitude_csv(amplitude, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-        assert lines[header] == "qs,qi,abs2"
-        assert len(lines) == header + 1 + 16 * 16

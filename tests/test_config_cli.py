@@ -1,16 +1,24 @@
+import io
 import math
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpmspdc import cli
 from qpmspdc.config import (PRESET_NAMES, _exact_unit_value, load_scenario,
                             parse_scenario_text, scenario_to_text)
-from qpmspdc.errors import ConfigError
+from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
+                            SimulationError, ValidationError,
+                            WavelengthWindowError)
 from qpmspdc.fields import MultiSlitAperture, ThinLens
+from qpmspdc.phasematch import CONVENTIONS
 
 MINIMAL = """
 [crystal]
@@ -28,8 +36,6 @@ distance_mm = 500
 slit_width_mm = 0.1
 scan_range_mm = 2.0
 scan_step_mm = 0.02
-filter_center_nm = 826
-filter_fwhm_nm = 2
 """
 
 
@@ -44,7 +50,7 @@ class TestParsing:
         assert config.crystal.length == pytest.approx(9.6e-3)
         assert config.crystal.poling_period == pytest.approx(11.4617e-6)
         assert config.pump.pulse_duration == pytest.approx(200e-15)
-        assert config.detection.filter_fwhm == pytest.approx(2e-9)
+        assert config.detection.scan_step == pytest.approx(2e-5)
         assert config.numerics.grid_samples == 4096
         assert config.dispersion.kind == "ktp"
         assert config.elements == ()
@@ -107,6 +113,68 @@ class TestParsing:
             parse_scenario_text(text)
 
 
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False)
+
+
+@st.composite
+def config_texts(draw):
+    """Valid scenario text over every section and key the parser accepts."""
+    type_ii = draw(st.booleans())
+    signal_axis = draw(st.sampled_from("xyz"))
+    idler_axis = draw(st.sampled_from([a for a in "xyz" if not type_ii or a != signal_axis]))
+    step = draw(_num(1e-3, 1.0))
+    timing = draw(st.just("cw = true") | _num(10.0, 1e4).map(lambda t: f"pulse_fs = {t!r}"))
+    lines = [
+        "[crystal]",
+        f"length_mm = {draw(_num(0.01, 100.0))!r}",
+        f"poling_period_um = {draw(_num(0.1, 100.0))!r}",
+        f"duty_cycle = {draw(_num(0.01, 0.99))!r}",
+        f"qpm_order = {draw(st.integers(1, 9))}",
+        f"temperature_c = {draw(_num(-50.0, 200.0))!r}",
+        f"pump_axis = {draw(st.sampled_from('xyz'))}",
+        f"signal_axis = {signal_axis}",
+        f"idler_axis = {idler_axis}",
+        f"type_ii = {str(type_ii).lower()}",
+        "[pump]",
+        f"wavelength_nm = {draw(_num(200.0, 2000.0))!r}",
+        f"waist_mm = {draw(_num(0.01, 10.0))!r}",
+        f"waist_position_mm = {draw(_num(-1000.0, 0.0))!r}",
+        timing,
+        "[detection]",
+        f"distance_mm = {draw(_num(1.0, 5000.0))!r}",
+        f"slit_width_mm = {draw(_num(0.0, 1.0))!r}",
+        f"scan_range_mm = {step * draw(st.integers(1, 400))!r}",
+        f"scan_step_mm = {step!r}",
+    ]
+    for index in range(1, draw(st.integers(0, 3)) + 1):
+        lines += [f"[element.{index}]", f"position_mm = {draw(_num(-1000.0, 0.0))!r}"]
+        if draw(st.booleans()):
+            focal = draw(_num(1.0, 1e4) | _num(-1e4, -1.0))
+            lines += ["type = lens", f"focal_length_mm = {focal!r}"]
+        else:
+            lines += ["type = multi_slit", f"slit_width_um = {draw(_num(1.0, 1e3))!r}",
+                      f"separation_um = {draw(_num(0.0, 1e3))!r}",
+                      f"slit_count = {draw(st.integers(1, 5))}"]
+    model = draw(st.sampled_from(["ktp", "constant", "table"]))
+    lines += ["[dispersion]", f"model = {model}"]
+    if model == "constant":
+        lines.append(f"constant_index = {draw(_num(1.0, 3.0))!r}")
+    if model == "table":
+        lines.append("table_path = tables/index.txt")
+    lines += [
+        "[numerics]",
+        f"grid_samples = {2 ** draw(st.integers(8, 14))}",
+        f"grid_extent_mm = {draw(_num(1.0, 100.0))!r}",
+        f"joint_grid_samples = {draw(st.integers(0, 4096))}",
+        f"joint_q_extent = {draw(_num(0.0, 1e6))!r}",
+        f"angle_convention = {draw(st.sampled_from(CONVENTIONS))}",
+        f"paraxial_bound = {draw(_num(0.01, 0.5))!r}",
+        f"normalize = {draw(st.sampled_from(['true', 'false']))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_presets_round_trip(self, preset):
@@ -120,6 +188,11 @@ class TestRoundTrip:
             "\n[dispersion]\nmodel = constant\nconstant_index = 1.83\n"
             "\n[numerics]\ngrid_samples = 2048\ngrid_extent_mm = 17.3\n"
             "angle_convention = internal\nnormalize = false\n")
+        config = parse_scenario_text(text)
+        assert parse_scenario_text(scenario_to_text(config)) == config
+
+    @given(config_texts())
+    def test_generated_configs_round_trip(self, text):
         config = parse_scenario_text(text)
         assert parse_scenario_text(scenario_to_text(config)) == config
 
@@ -313,6 +386,83 @@ class TestGuardExitCodes:
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 3
         assert "window" in res.stderr
+
+
+class TestExitCodeContract:
+    """Every failure inside a command leaves cli.main with 2 or 3, never a traceback."""
+
+    def _main(self, capsys, *argv):
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code, err
+
+    @pytest.mark.parametrize("poling", ["11.4617", "design"])
+    def test_missing_table_file_exits_2(self, tmp_path, capsys, poling):
+        config = tmp_path / "table.ini"
+        config.write_text(
+            MINIMAL.replace("11.4617", poling)
+            + f"\n[dispersion]\nmodel = table\ntable_path = {tmp_path / 'absent.txt'}\n",
+            encoding="utf-8")
+        code, err = self._main(capsys, "pump-propagate", "--config", str(config),
+                               "--out", str(tmp_path / "pump.csv"))
+        assert code == 2
+        assert "table_path" in err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code, err = self._main(capsys, "maker-fringes", "--config", "paper-config-1",
+                               "--out", str(tmp_path / "missing" / "maker.csv"))
+        assert code == 2
+        assert "missing" in err
+
+    def test_scan_step_not_dividing_range_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "step.ini"
+        config.write_text(MINIMAL.replace("scan_step_mm = 0.02", "scan_step_mm = 0.03"),
+                          encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
+                               "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert "nearest valid step is 2.98507" in err
+
+    @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol"])
+    def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        # MINIMAL ends inside [detection]; the tail tolerance lived in [numerics].
+        section = "[numerics]\n" if key == "spectral_tail_tol" else ""
+        config = tmp_path / "old.ini"
+        config.write_text(f"{MINIMAL}{section}{key} = 1\n", encoding="utf-8")
+        code, err = self._main(capsys, "pump-propagate", "--config", str(config),
+                               "--out", str(tmp_path / "pump.csv"))
+        assert code == 2
+        assert f"unknown key(s): {key}" in err
+
+
+def _error_types(base=SimulationError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+_ERROR_ARGS = {WavelengthWindowError: (350e-9, (400e-9, 1580e-9), "ktp"),
+               ParaxialityError: (0.3, 0.2)}
+# The pipeline function each command calls, as cli looks it up.
+_COMMAND_PIPELINES = {"maker-fringes": "maker_curve", "design-poling": "design_report",
+                      "pump-propagate": "pump_profile",
+                      "coincidence-scan": "run_coincidence"}
+
+
+class TestErrorFamilies:
+    @given(st.sampled_from(sorted(_error_types(), key=lambda t: t.__name__)),
+           st.sampled_from(sorted(_COMMAND_PIPELINES)))
+    def test_each_error_type_maps_to_its_exit_code(self, error_type, command):
+        is_validation = issubclass(error_type, ValidationError)
+        assert is_validation != issubclass(error_type, GuardError)
+        error = error_type(*_ERROR_ARGS.get(error_type, ("injected failure",)))
+        stderr = io.StringIO()
+        with mock.patch.object(cli, _COMMAND_PIPELINES[command], side_effect=error), \
+                redirect_stderr(stderr):
+            code = cli.main([command, "--config", "paper-config-1", "--out", os.devnull])
+        assert code == (2 if is_validation else 3)
+        assert stderr.getvalue() == f"error: {error}\n"
 
 
 class TestCwPump:

@@ -152,8 +152,7 @@ class TestPumpSpec:
 
 
 def _geometry(**overrides):
-    base = dict(distance=0.5, slit_width=1e-4, scan_range=4e-3, scan_step=5e-5,
-                filter_center=826e-9, filter_fwhm=2e-9)
+    base = dict(distance=0.5, slit_width=1e-4, scan_range=4e-3, scan_step=5e-5)
     base.update(overrides)
     return DetectionGeometry(**base)
 
@@ -167,7 +166,7 @@ class TestDetectionGeometry:
 
     @pytest.mark.parametrize("field,value", [
         ("distance", 0.0), ("distance", -1.0), ("slit_width", -1e-6),
-        ("scan_step", 0.0), ("filter_center", 0.0), ("filter_fwhm", 0.0),
+        ("scan_step", 0.0), ("scan_step", 1e-323),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValidationError):
@@ -176,6 +175,12 @@ class TestDetectionGeometry:
     def test_step_must_not_exceed_range(self):
         with pytest.raises(ValidationError):
             _geometry(scan_range=1e-5, scan_step=5e-5)
+
+    def test_step_must_divide_range(self):
+        # 2 mm in 0.03 mm steps is 66.67 steps; nothing may snap it silently.
+        with pytest.raises(ValidationError, match="nearest valid step is 2.98507"):
+            _geometry(scan_range=2e-3, scan_step=3e-5)
+        assert _geometry(scan_range=2e-3, scan_step=2e-3 / 67).scan_step == 2e-3 / 67
 
 
 class TestFrequencyPair:

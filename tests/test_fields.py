@@ -6,11 +6,10 @@ import pytest
 from qpmspdc.core import CrystalSpec, PumpSpec
 from qpmspdc.errors import (GridSizeError, SamplingGuardError,
                             ValidationError)
-from qpmspdc.fields import (FreeSpace, MultiSlitAperture,
-                            SampledField, ThinLens, apply_element,
-                            detection_plane_profile, gaussian_source,
-                            propagate, to_angular_spectrum, to_sampled_field,
-                            write_field_csv)
+from qpmspdc.fields import (MultiSlitAperture, SampledField, ThinLens,
+                            apply_element, gaussian_source,
+                            march_to_crystal_exit, propagate,
+                            to_angular_spectrum, to_sampled_field)
 
 WAVELENGTH = 413e-9
 WAIST = 0.5e-3
@@ -189,11 +188,6 @@ class TestElements:
         with pytest.raises(GridSizeError):
             apply_element(gaussian, MultiSlitAperture(slit_width=0.03))
 
-    def test_free_space_element(self, gaussian):
-        via_element = apply_element(gaussian, FreeSpace(distance=0.3))
-        direct = propagate(gaussian, 0.3)
-        np.testing.assert_allclose(via_element.values, direct.values, atol=1e-14)
-
     def test_two_slit_far_field_matches_closed_form(self):
         # Uniform illumination so the Fraunhofer cos^2 x sinc^2 form applies.
         # The frame is wide enough that even the grid's highest spatial
@@ -230,6 +224,12 @@ class TestElements:
                      * sinc(np.pi * width_eff * x / (WAVELENGTH * z)) ** 2)
         scale = intensity[window][x.size // 2]
         assert np.max(np.abs(intensity[window] / scale - reference)) < 1e-2
+
+
+def detection_plane_profile(pump, elements, crystal, model, distance, **grid):
+    """Pump field marched to the crystal exit, then propagated to the detectors."""
+    return propagate(march_to_crystal_exit(pump, elements, crystal, model, **grid),
+                     distance)
 
 
 class TestDetectionPlaneProfile:
@@ -300,18 +300,3 @@ class TestDetectionPlaneProfile:
         with pytest.raises(ValidationError):
             detection_plane_profile(pump, elements, self._crystal(), ktp, 0.5,
                                     grid_extent=0.02, sample_count=4096)
-
-
-class TestFieldCsv:
-    def test_round_trip_precision(self, tmp_path, gaussian):
-        out = propagate(gaussian, 0.25)
-        path = tmp_path / "field.csv"
-        write_field_csv(out, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header_rows = [ln for ln in lines if ln.startswith("#")]
-        assert any("wavelength_m" in ln for ln in header_rows)
-        assert lines[len(header_rows)] == "x_m,re,im,intensity"
-        first = lines[len(header_rows) + 1].split(",")
-        assert float(first[0]) == out.x[0]
-        assert float(first[1]) == out.values[0].real
-        assert float(first[2]) == out.values[0].imag
