@@ -11,6 +11,16 @@ Two independent routes to the same curve:
   detector-plane intensity is slit-integrated. The stationary phase of that
   transform sits at q_j = k_j p_j / z, the far-field angle mapping.
 
+The oracle evaluates that double sum over the (q_s, q_i) grid exactly, for
+only the detector pairs a scan reads; it does not use the transfer law.
+With both detectors moving together it works in sum/difference
+coordinates: the pump term and the common detector position enter through
+q_s + q_i alone, so the sum runs over the 2N-1 pair sums and the 2n-1 slit
+offset differences instead of over every detector pair. With one detector
+scanning, the fixed detector's transform is contracted first. Both are
+rearrangements of the same sum and match the full detector-pair transform
+to rounding.
+
 Spatial scans are evaluated at fixed degenerate frequencies (the detuning
 enters only through the separately exposed spectral envelope). The
 generation phase exp(i L_z A / 2), kept with the amplitude on request,
@@ -27,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import (CrystalSpec, DetectionGeometry, FrequencyPair, PumpSpec,
@@ -38,6 +49,15 @@ from .fields import AngularSpectrum, SampledField, _centered_grid
 from .phasematch import delta_kz_paraxial, efficiency_drop_over_scan
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
+
+# Joint-grid cells the fill computes at a time. Its temporaries stay at a
+# few MB instead of several N x N arrays, so peak memory is the output grid
+# plus one block, whatever size the previous ops' grids had.
+_FILL_CELLS = 1 << 18
+
+# Joint-grid rows the both-together oracle shears at a time; bounds its work
+# array to 128 x (N + 127) instead of N x (2N - 1), mostly zeros.
+_SHEAR_ROWS = 128
 
 
 def spectral_envelope(freqs: FrequencyPair, pump: PumpSpec) -> float:
@@ -118,7 +138,9 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
 
     Every node (q_s, q_i) needs the pump component at q_s + q_i, so the pump
     spectrum grid must span twice this grid's half extent; otherwise the
-    required pump q extent is reported.
+    required pump q extent is reported. On the uniform grid that sum takes
+    2N-1 values, so the pump is interpolated once per value and read through
+    a Hankel view. The grid is filled a block of rows at a time.
     """
     q = symmetric_q_grid(q_extent, samples)
     q_sum_max = 2.0 * float(np.max(np.abs(q)))
@@ -128,24 +150,45 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
             f"pump spectrum grid (|q| <= {pump_q_max:.6g} rad/m) cannot supply "
             f"q_s + q_i up to {q_sum_max:.6g} rad/m",
             required_q_extent=2.0 * q_sum_max)
-    qs = q[:, None]
-    qi = q[None, :]
-    pump_factor = sample_pump_spectrum(pump_spectrum, qs + qi)
-    dkz = delta_kz_paraxial(freqs, qs, qi, crystal, model,
-                            paraxial_bound=paraxial_bound)
+    n = q.size
+    pump_sums = sample_pump_spectrum(pump_spectrum, _pair_sums(q))
+    detuning = 0.0
     if freqs.delta_omega != 0.0:
         n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
                           crystal.pump_axis, crystal.temperature_c)
-        mismatch = dkz - n_g * freqs.delta_omega / C
-    else:
-        mismatch = dkz
-    phase = 0.5 * crystal.length * mismatch
-    base = pump_factor * sinc(phase) * spectral_envelope(freqs, pump)
-    peak = float(np.max(np.abs(base)))
+        detuning = n_g * freqs.delta_omega / C
+    envelope = spectral_envelope(freqs, pump)
+    base = np.empty((n, n), dtype=complex)
+    phase = np.empty((n, n)) if include_phase else None
+    rows = max(1, _FILL_CELLS // n)
+    magnitude = np.empty((rows, n))
+    peak = 0.0
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # Each block checks its rows against the paraxial bound; row 0 holds
+        # the largest |q_s|, so the first block reports the whole grid's ratio.
+        block_phase = delta_kz_paraxial(freqs, q[start:stop, None], q[None, :], crystal,
+                                        model, paraxial_bound=paraxial_bound)
+        if detuning:
+            block_phase -= detuning
+        block_phase *= 0.5 * crystal.length
+        if phase is not None:
+            phase[start:stop] = block_phase
+        block = np.multiply(_hankel(pump_sums[start:], n, stop - start),
+                            sinc(block_phase), out=base[start:stop])
+        # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
+        block.view(float)[...] *= envelope
+        block_magnitude = np.abs(block, out=magnitude[:stop - start])
+        peak = max(peak, float(np.max(block_magnitude)))
     if peak == 0.0:
         raise ValidationError("joint amplitude is identically zero on this grid")
-    return JointAmplitude(base_values=base / peak, q_signal=q, freqs=freqs,
-                          crystal=crystal, phase=phase if include_phase else None)
+    base.view(float)[...] /= peak
+    # Frozen in place: JointAmplitude keeps them uncopied.
+    base.flags.writeable = False
+    if phase is not None:
+        phase.flags.writeable = False
+    return JointAmplitude(base_values=base, q_signal=q, freqs=freqs,
+                          crystal=crystal, phase=phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,28 +299,106 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
     positions = scan_positions(geometry)
     offsets = _slit_offsets(geometry.slit_width, slit_samples)
     sample_points = _mean_position_map(mode, positions[:, None] + offsets[None, :])
-    intensity = np.interp(sample_points.ravel(), profile.x, profile.intensity,
-                          left=0.0, right=0.0).reshape(sample_points.shape)
+    x = profile.x
+    if sample_points.min() < x[0] or sample_points.max() > x[-1]:
+        reach = float(np.max(np.abs(sample_points)))
+        needed_mm = math.ceil(2e6 * reach / (1.0 - 2.0 / x.size)) / 1e3
+        raise GridCompatibilityError(
+            f"the scan reads the pump profile out to |x| = {reach * 1e3:.6g} mm, "
+            f"beyond its grid [{x[0] * 1e3:.6g}, {x[-1] * 1e3:.6g}] mm; "
+            f"grid_extent_mm must be at least {needed_mm:g}")
+    intensity = np.interp(sample_points.ravel(), x, profile.intensity).reshape(
+        sample_points.shape)
     raw = intensity.mean(axis=1)
     return _finalize(positions, raw, mode, geometry, "analytic", tuple(warnings),
                      extra={"efficiency_drop": drop, "angle_convention": convention})
 
 
-def _detector_phases(q: np.ndarray, positions: np.ndarray, distance: float,
-                     wavenumber: float) -> np.ndarray:
-    """exp(i q p) exp(-i z q^2 / 2k) on the q grid for each detector position."""
-    chirp = np.exp(-1j * distance * q**2 / (2.0 * wavenumber))
-    return np.exp(1j * np.outer(q, positions)) * chirp[:, None]
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) evaluated as cos + 1j*sin."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _pair_sums(q: np.ndarray) -> np.ndarray:
+    """The 2N-1 distinct values of q_s + q_i on a uniform grid, index m = s + i."""
+    return np.concatenate((q[0] + q, q[-1] + q[1:]))
+
+
+def _hankel(line: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
+    """Read-only rows x n view (n x n by default) with [s, i] = line[s + i]."""
+    rows = n if rows is None else rows
+    if line.size < rows + n - 1:
+        raise ValueError("Hankel view would read past the end of its line")
+    step = line.strides[0]
+    return as_strided(line, shape=(rows, n), strides=(step, step), writeable=False)
+
+
+def _one_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
+                 offsets: np.ndarray, chirp_scanned: np.ndarray,
+                 chirp_fixed: np.ndarray) -> np.ndarray:
+    """Amplitudes [scanned offset x fixed offset, scan position], one detector scanned.
+
+    Rows of ``amplitude`` belong to the scanned photon. The fixed detector is
+    contracted first; the scanned detector's phase exp(i q (P + o)) splits
+    into a per-position and a per-offset factor.
+    """
+    offset_phases = _expi(np.multiply.outer(q, offsets))
+    fixed = amplitude @ (offset_phases * chirp_fixed[:, None])
+    scanned = offset_phases * chirp_scanned[:, None]
+    weighted = scanned[:, :, None] * fixed[:, None, :]
+    return weighted.reshape(q.size, -1).T @ _expi(np.multiply.outer(q, positions))
+
+
+def _both_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
+                  offsets: np.ndarray, chirp_signal: np.ndarray,
+                  chirp_idler: np.ndarray) -> np.ndarray:
+    """Amplitudes [signal offset x idler offset, scan position], both detectors at P.
+
+    With p_s = P + o_a and p_i = P + o_b the double sum becomes
+    sum_m exp(i q+_m (P + o_b)) S[a - b, m] over the pair sums q+_m = q_s + q_i,
+    where S[d, m] = sum_s A[s, m - s] exp(i q_s (o_a - o_b)) and A carries both
+    transport chirps (the signal chirp rides on the offset phases). A is
+    sheared into the (s, m = s + i) layout to form S a block of rows at a
+    time. Every block writes the same band of one work array, so its zeros
+    are written once.
+    """
+    n = q.size
+    n_off = offsets.size
+    differences = np.concatenate((offsets[0] - offsets[:0:-1], offsets - offsets[0]))
+    signal_phases = _expi(np.multiply.outer(differences, q))
+    signal_phases *= chirp_signal
+    s = np.zeros((differences.size, 2 * n - 1), dtype=complex)
+    block_rows = min(_SHEAR_ROWS, n)
+    work = np.zeros((block_rows, block_rows + n - 1), dtype=complex)
+    for start in range(0, n, block_rows):
+        rows = amplitude[start:start + block_rows]
+        count = rows.shape[0]
+        sheared = work[:count, :count + n - 1]
+        diagonals = as_strided(sheared, shape=rows.shape,
+                               strides=(sheared.strides[0] + sheared.strides[1],
+                                        sheared.strides[1]))
+        np.multiply(rows, chirp_idler, out=diagonals)
+        s[:, start:start + count + n - 1] += signal_phases[:, start:start + count] @ sheared
+    q_sum = _pair_sums(q)
+    a_minus_b = np.subtract.outer(np.arange(n_off), np.arange(n_off)) + n_off - 1
+    terms = s[a_minus_b] * _expi(np.multiply.outer(offsets, q_sum))
+    return terms.reshape(-1, 2 * n - 1) @ _expi(np.multiply.outer(q_sum, positions))
 
 
 def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeometry,
-                            mode: str, *, slit_samples: int = 8) -> ScanResult:
+                            mode: str, *, slit_samples: int = 8,
+                            warnings: tuple[str, ...] = ()) -> ScanResult:
     """Scan from the joint amplitude by per-photon Fresnel transport to z_D.
 
     The coincidence amplitude at detector pair (p_s, p_i) is the double sum
     over the (q_s, q_i) grid of the phase-stripped joint amplitude times the
     two transport factors; the squared modulus is then averaged over each
-    detector slit by the midpoint rule (incoherent integration).
+    detector slit by the midpoint rule (incoherent integration). Only the
+    detector pairs a scan reads are formed; ``warnings`` (from sizing the
+    joint grid) are attached to the result.
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
@@ -287,13 +408,10 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
     z = geometry.distance
     positions = scan_positions(geometry)
     offsets = _slit_offsets(geometry.slit_width, slit_samples)
-    n_off = offsets.size
-    scanned = (positions[:, None] + offsets[None, :]).ravel()
-    fixed = offsets
     q = amplitude.q_signal
     dq = float(q[1] - q[0])
     q_max = float(np.max(np.abs(q)))
-    p_max = float(np.max(np.abs(scanned)))
+    p_max = float(np.max(np.abs(positions[:, None] + offsets[None, :])))
     k_min = min(k_signal, k_idler)
     chirp_step = z * q_max * dq / k_min
     if chirp_step >= math.pi:
@@ -309,27 +427,18 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
             "the joint grid is too coarse for this scan range",
             suggested_samples=needed)
 
+    chirp_signal = _expi(q * q * (-z / (2.0 * k_signal)))
+    chirp_idler = (chirp_signal if k_idler == k_signal
+                   else _expi(q * q * (-z / (2.0 * k_idler))))
+    base = amplitude.base_values
     if mode == "both-together":
-        e_signal = _detector_phases(q, scanned, z, k_signal)
-        e_idler = _detector_phases(q, scanned, z, k_idler)
+        detected = _both_scanned(base, q, positions, offsets, chirp_signal, chirp_idler)
     elif mode == "signal-only":
-        e_signal = _detector_phases(q, scanned, z, k_signal)
-        e_idler = _detector_phases(q, fixed, z, k_idler)
+        detected = _one_scanned(base, q, positions, offsets, chirp_signal, chirp_idler)
     else:
-        e_signal = _detector_phases(q, fixed, z, k_signal)
-        e_idler = _detector_phases(q, scanned, z, k_idler)
-
-    partial = amplitude.base_values @ e_idler
-    detected = np.abs(e_signal.T @ partial) ** 2
-    n_scan = positions.size
-    if mode == "both-together":
-        blocks = detected.reshape(n_scan, n_off, n_scan, n_off)
-        raw = blocks[np.arange(n_scan), :, np.arange(n_scan), :].mean(axis=(1, 2))
-    elif mode == "signal-only":
-        raw = detected.reshape(n_scan, n_off, n_off).mean(axis=(1, 2))
-    else:
-        raw = detected.T.reshape(n_scan, n_off, n_off).mean(axis=(1, 2))
-    return _finalize(positions, raw, mode, geometry, "oracle", ())
+        detected = _one_scanned(base.T, q, positions, offsets, chirp_idler, chirp_signal)
+    raw = (np.abs(detected) ** 2).mean(axis=0)
+    return _finalize(positions, raw, mode, geometry, "oracle", warnings)
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -43,7 +43,7 @@ def write_table(path, header, names, columns) -> None:
 
 def write_scan_csv(result: ScanResult, path, *, raw: bool = False,
                    companion: ScanResult | None = None) -> None:
-    """Scan CSV: metadata header then p_m,rate rows.
+    """Scan CSV: metadata header, with each scan's warnings, then p_m,rate rows.
 
     A companion scan (same positions, other method) adds a second rate column;
     ``raw`` undoes the unit-peak normalization using the stored peak.
@@ -53,15 +53,14 @@ def write_scan_csv(result: ScanResult, path, *, raw: bool = False,
               ("detector_distance_m", meta["detector_distance_m"]),
               ("slit_width_m", meta["slit_width_m"]),
               ("normalization_peak", meta["normalization_peak"])]
-    header += [("warning", warning) for warning in result.warnings]
+    scans = [result] if companion is None else [result, companion]
+    header += [("warning", warning) for scan in scans for warning in scan.warnings]
     names = ["p_m", "rate"]
-    scans = [result]
     if companion is not None:
         if not np.array_equal(companion.positions, result.positions):
             raise ValidationError("companion scan must share the position grid")
         header.append(("companion_method", companion.metadata["method"]))
         names.append("rate_companion")
-        scans.append(companion)
     rates = [scan.rates * (scan.metadata["normalization_peak"] if raw else 1.0)
              for scan in scans]
     write_table(path, header, names, [result.positions, *rates])

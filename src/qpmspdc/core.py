@@ -28,9 +28,12 @@ def sinc(x):
     Accepts scalars or arrays; even in x and bounded by 1 in magnitude.
     """
     arr = np.asarray(x, dtype=float)
-    out = np.sinc(arr / np.pi)
-    if out.ndim == 0:
-        return float(out)
+    if arr.ndim == 0:
+        return float(np.sin(arr) / arr) if arr else 1.0
+    with np.errstate(invalid="ignore"):
+        out = np.sin(arr)
+        out /= arr
+    out[arr == 0.0] = 1.0
     return out
 
 
@@ -56,7 +59,15 @@ def gamma_from_pulse_width(tau: float) -> float:
 
 
 def frozen_array(values, dtype) -> np.ndarray:
-    """Read-only copy of values as an array of dtype."""
+    """Read-only copy of values as an array of dtype.
+
+    An array of dtype that already owns read-only data is returned as it is;
+    the package never writes to such an array, so sharing it is as safe as a
+    copy and spares copying large grids.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr

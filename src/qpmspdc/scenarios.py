@@ -35,22 +35,23 @@ def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
     return FrequencyPair.degenerate(config.pump.omega)
 
 
-def _crystal_exit_field(config: ScenarioConfig) -> SampledField:
+def _crystal_exit_field(config: ScenarioConfig, model: IndexModel) -> SampledField:
     """Pump field at the crystal exit face, marched through the optical train."""
     return march_to_crystal_exit(
-        config.pump, config.elements, config.crystal, index_model_for(config),
+        config.pump, config.elements, config.crystal, model,
         grid_extent=config.numerics.grid_extent,
         sample_count=config.numerics.grid_samples)
 
 
 def pump_profile(config: ScenarioConfig) -> SampledField:
     """Pump field at the detection plane (the power-meter measurement)."""
-    return propagate(_crystal_exit_field(config), config.detection.distance)
+    return propagate(_crystal_exit_field(config, index_model_for(config)),
+                     config.detection.distance)
 
 
 def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
     """Pump angular spectrum at the crystal exit face (biphoton source)."""
-    return to_angular_spectrum(_crystal_exit_field(config))
+    return to_angular_spectrum(_crystal_exit_field(config, index_model_for(config)))
 
 
 def _round_up(value: float, multiple: int) -> int:
@@ -58,7 +59,7 @@ def _round_up(value: float, multiple: int) -> int:
 
 
 def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
-                    model: IndexModel) -> tuple[float, int]:
+                    model: IndexModel) -> tuple[float, int, tuple[str, ...]]:
     """Joint (q_s, q_i) grid sized for the configured detection geometry.
 
     The half extent must cover three scales: the anti-diagonal reach of the
@@ -66,7 +67,8 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     the transform), the stationary wavevector of the farthest detector
     position, and half the pump-sum bandwidth the scan actually consumes.
     The sample count then resolves the transport chirp at the grid edge.
-    Explicit numerics overrides win.
+    Explicit numerics overrides win. Returns (q_extent, samples, warnings);
+    the warning reports an automatic extent clipped to the pump grid.
     """
     detection = config.detection
     crystal = config.crystal
@@ -84,32 +86,45 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     q_sum_half = 1.15 * k_pump * p_eff / z + 3.0 * math.sqrt(2.0 * math.pi * k_pump / z)
     half = max(u_need, q_detector) + 0.5 * q_sum_half
     # The pump grid can only supply q_s + q_i up to its own q extent; clip the
-    # automatic size to that. Far outside the near-collinear regime the
-    # stationary wavevector of outer scan positions then falls off the grid
-    # and the oracle rates collapse there, which is the observable symptom the
-    # regime warning announces.
+    # automatic size to that, and say so. The stationary wavevector of outer
+    # scan positions can then fall off the grid and the oracle rates collapse
+    # there.
     pump_q_cap = math.pi * config.numerics.grid_samples / config.numerics.grid_extent
     q_extent = config.numerics.joint_q_extent or min(2.0 * half, pump_q_cap)
+    warnings: tuple[str, ...] = ()
+    if not config.numerics.joint_q_extent and 2.0 * half > pump_q_cap:
+        warnings = (
+            f"joint grid q extent clipped from {2.0 * half:.6g} to {pump_q_cap:.6g} rad/m, "
+            "the pump grid's pi * grid_samples / grid_extent; oracle rates at the "
+            "outer scan positions may collapse",)
     if config.numerics.joint_grid_samples:
         samples = config.numerics.joint_grid_samples
     else:
         dq_chirp = 0.8 * math.pi * k_dc / (z * 0.5 * q_extent)
         dq_position = 0.8 * math.pi / p_eff
         samples = max(256, _round_up(q_extent / min(dq_chirp, dq_position), 16))
-    return q_extent, samples
+    return q_extent, samples, warnings
+
+
+def _sized_joint_amplitude(config: ScenarioConfig, model: IndexModel,
+                           spectrum: AngularSpectrum, include_phase: bool
+                           ) -> tuple[JointAmplitude, tuple[str, ...]]:
+    """Joint amplitude on the automatic grid, with the grid-sizing warnings."""
+    freqs = degenerate_pair(config)
+    q_extent, samples, warnings = auto_joint_grid(config, freqs, model)
+    amplitude = build_joint_amplitude(
+        spectrum, config.pump, config.crystal, freqs, model,
+        q_extent=q_extent, samples=samples, include_phase=include_phase,
+        paraxial_bound=config.numerics.paraxial_bound)
+    return amplitude, warnings
 
 
 def joint_amplitude(config: ScenarioConfig, *, include_phase: bool = True,
                     spectrum: AngularSpectrum | None = None) -> JointAmplitude:
     model = index_model_for(config)
-    freqs = degenerate_pair(config)
     if spectrum is None:
-        spectrum = pump_spectrum(config)
-    q_extent, samples = auto_joint_grid(config, freqs, model)
-    return build_joint_amplitude(
-        spectrum, config.pump, config.crystal, freqs, model,
-        q_extent=q_extent, samples=samples, include_phase=include_phase,
-        paraxial_bound=config.numerics.paraxial_bound)
+        spectrum = to_angular_spectrum(_crystal_exit_field(config, model))
+    return _sized_joint_amplitude(config, model, spectrum, include_phase)[0]
 
 
 @dataclass(frozen=True)
@@ -127,7 +142,7 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
         raise ValidationError(f"method must be analytic, oracle, or both, got {method!r}")
     model = index_model_for(config)
     freqs = degenerate_pair(config)
-    exit_field = _crystal_exit_field(config)
+    exit_field = _crystal_exit_field(config, model)
     analytic = None
     oracle = None
     if method in ("analytic", "both"):
@@ -137,9 +152,10 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
             model=model, freqs=freqs,
             convention=config.numerics.angle_convention)
     if method in ("oracle", "both"):
-        amplitude = joint_amplitude(config, include_phase=False,
-                                    spectrum=to_angular_spectrum(exit_field))
-        oracle = coincidence_scan_oracle(amplitude, config.detection, detectors)
+        amplitude, grid_warnings = _sized_joint_amplitude(
+            config, model, to_angular_spectrum(exit_field), include_phase=False)
+        oracle = coincidence_scan_oracle(amplitude, config.detection, detectors,
+                                         warnings=grid_warnings)
     correlation = None
     if analytic is not None and oracle is not None:
         correlation = normalized_cross_correlation(analytic.rates, oracle.rates)

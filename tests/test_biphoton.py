@@ -1,24 +1,29 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpmspdc.biphoton import (ScanResult, build_joint_amplitude,
+from qpmspdc.biphoton import (SCAN_MODES, ScanResult, _hankel, _pair_sums,
+                              _slit_offsets, build_joint_amplitude,
                               coincidence_scan_analytic,
                               coincidence_scan_oracle,
                               normalized_cross_correlation,
                               sample_pump_spectrum, scan_positions,
-                              spectral_envelope)
+                              spectral_envelope, symmetric_q_grid)
 from qpmspdc.cli import write_scan_csv
 from qpmspdc.config import parse_scenario_text, scenario_to_text
+from qpmspdc.core import VACUUM_LIGHT_SPEED as C
 from qpmspdc.core import (CrystalSpec, DetectionGeometry, FrequencyPair,
-                          PumpSpec, angular_frequency)
-from qpmspdc.dispersion import ConstantIndexModel
+                          PumpSpec, angular_frequency, sinc, vacuum_wavelength)
+from qpmspdc.dispersion import ConstantIndexModel, group_index
 from qpmspdc.errors import GridCompatibilityError, ValidationError
 from qpmspdc.fields import (AngularSpectrum, MultiSlitAperture, gaussian_source,
                             to_angular_spectrum)
-from qpmspdc.scenarios import (estimate_fringe_period, joint_amplitude,
-                               pump_profile, pump_spectrum, run_coincidence)
+from qpmspdc.phasematch import delta_kz_paraxial
+from qpmspdc.scenarios import (estimate_fringe_period, index_model_for,
+                               joint_amplitude, pump_profile, pump_spectrum,
+                               run_coincidence)
 
 OMEGA_PUMP = angular_frequency(413e-9)
 DEGENERATE = FrequencyPair.degenerate(OMEGA_PUMP)
@@ -41,6 +46,40 @@ def geometry(**overrides):
     base = dict(distance=0.5, slit_width=1e-4, scan_range=2e-3, scan_step=2e-5)
     base.update(overrides)
     return DetectionGeometry(**base)
+
+
+def brute_force_oracle_rates(amplitude, geometry, mode, slit_samples=8):
+    """Reference oracle: every detector pair of the full transform, then the scan's.
+
+    Each detector column carries exp(i q p) exp(-i z q^2 / 2k); the amplitude
+    of every (signal column, idler column) pair is formed and the pairs the
+    scan mode reads are slit-averaged.
+    """
+    c = 299792458.0
+    k_signal = amplitude.freqs.omega_signal / c
+    k_idler = amplitude.freqs.omega_idler / c
+    z = geometry.distance
+    q = amplitude.q_signal
+    positions = scan_positions(geometry)
+    offsets = _slit_offsets(geometry.slit_width, slit_samples)
+    n_scan, n_off = positions.size, offsets.size
+    scanned = (positions[:, None] + offsets[None, :]).ravel()
+
+    def phases(points, wavenumber):
+        chirp = np.exp(-1j * z * q**2 / (2.0 * wavenumber))
+        return np.exp(1j * np.outer(q, points)) * chirp[:, None]
+
+    e_signal = phases(offsets if mode == "idler-only" else scanned, k_signal)
+    e_idler = phases(offsets if mode == "signal-only" else scanned, k_idler)
+    detected = np.abs(e_signal.T @ (amplitude.base_values @ e_idler)) ** 2
+    if mode == "both-together":
+        blocks = detected.reshape(n_scan, n_off, n_scan, n_off)
+        raw = blocks[np.arange(n_scan), :, np.arange(n_scan), :].mean(axis=(1, 2))
+    elif mode == "signal-only":
+        raw = detected.reshape(n_scan, n_off, n_off).mean(axis=(1, 2))
+    else:
+        raw = detected.T.reshape(n_scan, n_off, n_off).mean(axis=(1, 2))
+    return raw / raw.max()
 
 
 class TestSpectralEnvelope:
@@ -179,8 +218,6 @@ class TestScans:
 
     def test_gaussian_pump_scan_follows_profile(self, preset1):
         # No elements: the scan is the propagated Gaussian intensity.
-        from dataclasses import replace
-
         bare = replace(preset1, elements=(),
                        pump=replace(preset1.pump, waist_position=0.0))
         out = run_coincidence(bare, method="both")
@@ -236,9 +273,11 @@ class TestScans:
         assert any("regime" in w for w in out.analytic.warnings)
         assert out.correlation < 0.98
 
-    def test_no_warning_in_nominal_regime(self, preset1_both):
+    def test_no_warning_in_nominal_regime(self, preset1_both, preset2_both):
         assert all("regime violation" not in w
                    for w in preset1_both.analytic.warnings)
+        # Neither preset's automatic joint grid is clipped to the pump grid.
+        assert preset1_both.oracle.warnings == preset2_both.oracle.warnings == ()
 
     def test_both_methods_share_one_pump_march(self, preset1):
         from unittest import mock
@@ -249,6 +288,83 @@ class TestScans:
                                wraps=scenarios.march_to_crystal_exit) as march:
             run_coincidence(preset1, method="both")
         assert march.call_count == 1
+
+    def test_both_methods_build_one_index_model(self, preset1):
+        from unittest import mock
+
+        from qpmspdc.config import DispersionConfig
+
+        with mock.patch.object(DispersionConfig, "make_model", autospec=True,
+                               side_effect=DispersionConfig.make_model) as make:
+            run_coincidence(preset1, method="both")
+        assert make.call_count == 1
+
+
+_ORACLE_CASES = ("paper-config-1", "paper-config-2", "odd-joint-samples",
+                 "zero-slit-width", "non-degenerate", "explicit-q-extent")
+
+
+@pytest.fixture(scope="module", params=_ORACLE_CASES)
+def oracle_case(request, preset1, preset2):
+    """(joint amplitude, detection geometry) for one oracle reference case."""
+    case = request.param
+    if case == "non-degenerate":
+        # k_s != k_i, so the two transport chirps differ.
+        freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.52 * OMEGA_PUMP, 0.48 * OMEGA_PUMP)
+        amplitude = build_joint_amplitude(
+            gaussian_spectrum(), PUMP, vacuum_crystal(), freqs,
+            ConstantIndexModel(1.7), q_extent=2e5, samples=512,
+            include_phase=False)
+        return amplitude, geometry()
+    config = preset2 if case == "paper-config-2" else preset1
+    text = scenario_to_text(config)
+    if case == "odd-joint-samples":
+        text = text.replace("joint_grid_samples = 0", "joint_grid_samples = 817")
+    elif case == "explicit-q-extent":
+        text = text.replace("joint_q_extent = 0.0", "joint_q_extent = 300000.0")
+    config = parse_scenario_text(text)
+    detection = config.detection
+    if case == "zero-slit-width":
+        detection = replace(detection, slit_width=0.0)
+    return joint_amplitude(config, include_phase=False), detection
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_matches_brute_force(self, oracle_case, mode):
+        amplitude, detection = oracle_case
+        rates = coincidence_scan_oracle(amplitude, detection, mode).rates
+        expected = brute_force_oracle_rates(amplitude, detection, mode)
+        assert np.max(np.abs(rates - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [816, 817])
+    def test_hankel_pump_factor_matches_cellwise_interpolation(self, preset1, samples):
+        spectrum = pump_spectrum(preset1)
+        q = symmetric_q_grid(2.5e5, samples)
+        gathered = _hankel(sample_pump_spectrum(spectrum, _pair_sums(q)), q.size)
+        direct = sample_pump_spectrum(spectrum, q[:, None] + q[None, :])
+        assert np.max(np.abs(gathered - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+    def test_blocked_fill_matches_whole_grid(self, preset1):
+        # 817 rows fill in blocks of 320, the last one partial; the detuning
+        # exercises the group-index term.
+        freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
+        crystal, model = preset1.crystal, index_model_for(preset1)
+        spectrum = pump_spectrum(preset1)
+        amplitude = build_joint_amplitude(spectrum, PUMP, crystal, freqs, model,
+                                          q_extent=2.5e5, samples=817)
+        q = amplitude.q_signal
+        n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
+                          crystal.pump_axis, crystal.temperature_c)
+        phase = delta_kz_paraxial(freqs, q[:, None], q[None, :], crystal, model)
+        phase -= n_g * freqs.delta_omega / C
+        phase *= 0.5 * crystal.length
+        base = (sample_pump_spectrum(spectrum, q[:, None] + q[None, :]) * sinc(phase)
+                * spectral_envelope(freqs, PUMP))
+        base /= np.max(np.abs(base))
+        assert np.array_equal(amplitude.phase, phase)
+        assert np.max(np.abs(amplitude.base_values - base)) <= 1e-12
 
 
 class TestScanResult:

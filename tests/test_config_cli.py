@@ -424,6 +424,19 @@ class TestExitCodeContract:
         assert code == 2
         assert "nearest valid step is 2.98507" in err
 
+    def test_analytic_scan_off_pump_grid_exits_3(self, tmp_path, capsys):
+        # A 30 mm scan at 500 mm reads the detection-plane profile beyond the
+        # preset's 20 mm pump grid; those rates were once silently 0.
+        config = tmp_path / "wide.ini"
+        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
+                          .replace("scan_range_mm = 2.0", "scan_range_mm = 30.0")
+                          .replace("scan_step_mm = 0.02", "scan_step_mm = 0.1"),
+                          encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
+                               "--out", str(tmp_path / "scan.csv"))
+        assert code == 3
+        assert "grid_extent_mm must be at least 30.103" in err
+
     @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol"])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):
         # MINIMAL ends inside [detection]; the tail tolerance lived in [numerics].
@@ -463,6 +476,23 @@ class TestErrorFamilies:
             code = cli.main([command, "--config", "paper-config-1", "--out", os.devnull])
         assert code == (2 if is_validation else 3)
         assert stderr.getvalue() == f"error: {error}\n"
+
+
+class TestJointGridClipping:
+    def test_clipped_joint_grid_warns_on_stderr_and_in_csv(self, tmp_path, capsys):
+        # An 80 mm pump grid of 4096 samples caps q_s + q_i at 1.61e5 rad/m,
+        # below the 2.49e5 rad/m the automatic joint grid asks for.
+        config = tmp_path / "coarse.ini"
+        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
+                          .replace("grid_extent_mm = 20.0", "grid_extent_mm = 80.0"),
+                          encoding="utf-8")
+        out = tmp_path / "scan.csv"
+        code = cli.main(["coincidence-scan", "--config", str(config), "--out", str(out),
+                         "--mode", "both"])
+        assert code == 0
+        message = "joint grid q extent clipped from 249401 to 160850 rad/m"
+        assert f"warning: {message}" in capsys.readouterr().err
+        assert f"# warning = {message}" in out.read_text(encoding="utf-8")
 
 
 class TestCwPump:
