@@ -21,6 +21,15 @@ scanning, the fixed detector's transform is contracted first. Both are
 rearrangements of the same sum and match the full detector-pair transform
 to rounding.
 
+The scan path builds every two-dimensional phase from one-dimensional
+factors. The joint amplitude is the pump at q_s + q_i times sinc(L A / 2),
+and the paraxial mismatch A is a sum of a signal term, an idler term and a
+pair-sum term, so the fill adds three vectors (the pair-sum one through the
+same Hankel view as the pump) instead of evaluating the mismatch cell by
+cell. The oracle's detector-position phases exp(i q p) on the evenly spaced
+scan positions are the product of two short tables. Only the generation
+phase kept on request is evaluated cell by cell, by ``delta_kz_paraxial``.
+
 Spatial scans are evaluated at fixed degenerate frequencies (the detuning
 enters only through the separately exposed spectral envelope). The
 generation phase exp(i L_z A / 2), kept with the amplitude on request,
@@ -46,7 +55,8 @@ from .dispersion import IndexModel, group_index
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
 from .fields import AngularSpectrum, SampledField, _centered_grid
-from .phasematch import delta_kz_paraxial, efficiency_drop_over_scan
+from .phasematch import (delta_kz_paraxial, efficiency_drop_over_scan,
+                         paraxial_mismatch_terms)
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
 
@@ -140,7 +150,13 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     spectrum grid must span twice this grid's half extent; otherwise the
     required pump q extent is reported. On the uniform grid that sum takes
     2N-1 values, so the pump is interpolated once per value and read through
-    a Hankel view. The grid is filled a block of rows at a time.
+    a Hankel view. The sinc argument L A / 2 is likewise built from 1D terms,
+    a signal term plus an idler term plus a pair-sum term read through the
+    same Hankel view (``paraxial_mismatch_terms``). The grid is filled a block
+    of rows at a time. The spectral envelope is one scalar, which the
+    unit-peak normalization cancels, so it only decides whether the amplitude
+    is identically zero. The kept phase comes from ``delta_kz_paraxial``
+    itself and equals the whole-grid formula bit for bit.
     """
     q = symmetric_q_grid(q_extent, samples)
     q_sum_max = 2.0 * float(np.max(np.abs(q)))
@@ -151,37 +167,52 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
             f"q_s + q_i up to {q_sum_max:.6g} rad/m",
             required_q_extent=2.0 * q_sum_max)
     n = q.size
-    pump_sums = sample_pump_spectrum(pump_spectrum, _pair_sums(q))
+    q_sum = _pair_sums(q)
+    pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
     detuning = 0.0
     if freqs.delta_omega != 0.0:
         n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
                           crystal.pump_axis, crystal.temperature_c)
         detuning = n_g * freqs.delta_omega / C
-    envelope = spectral_envelope(freqs, pump)
+    constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
+        freqs, q, crystal, model, paraxial_bound=paraxial_bound)
+    if spectral_envelope(freqs, pump) == 0.0:
+        raise ValidationError("joint amplitude is identically zero on this grid")
+    half_length = 0.5 * crystal.length
+    signal_term = (constant - detuning + a_signal * q * q) * half_length
+    idler_term = a_idler * q * q * half_length
+    pair_term = -a_pump * q_sum * q_sum * half_length
+    pump_magnitude = np.abs(pump_sums)
     base = np.empty((n, n), dtype=complex)
     phase = np.empty((n, n)) if include_phase else None
     rows = max(1, _FILL_CELLS // n)
-    magnitude = np.empty((rows, n))
+    argument = np.empty((rows, n))
+    profile = np.empty((rows, n))
     peak = 0.0
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        # Each block checks its rows against the paraxial bound; row 0 holds
-        # the largest |q_s|, so the first block reports the whole grid's ratio.
-        block_phase = delta_kz_paraxial(freqs, q[start:stop, None], q[None, :], crystal,
-                                        model, paraxial_bound=paraxial_bound)
-        if detuning:
-            block_phase -= detuning
-        block_phase *= 0.5 * crystal.length
-        if phase is not None:
-            phase[start:stop] = block_phase
-        block = np.multiply(_hankel(pump_sums[start:], n, stop - start),
-                            sinc(block_phase), out=base[start:stop])
-        # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
-        block.view(float)[...] *= envelope
-        block_magnitude = np.abs(block, out=magnitude[:stop - start])
+        count = stop - start
+        block_argument = np.add(signal_term[start:stop, None], idler_term,
+                                out=argument[:count])
+        block_argument += _hankel(pair_term[start:], n, count)
+        block_sinc = sinc(block_argument, out=profile[:count])
+        np.multiply(_hankel(pump_sums[start:], n, count), block_sinc,
+                    out=base[start:stop])
+        # |P| |sinc| on real arrays is the block's magnitude, to rounding.
+        block_magnitude = np.abs(block_sinc, out=block_sinc)
+        block_magnitude *= _hankel(pump_magnitude[start:], n, count)
         peak = max(peak, float(np.max(block_magnitude)))
+        if phase is not None:
+            block_phase = delta_kz_paraxial(freqs, q[start:stop, None], q[None, :],
+                                            crystal, model,
+                                            paraxial_bound=paraxial_bound)
+            if detuning:
+                block_phase -= detuning
+            block_phase *= half_length
+            phase[start:stop] = block_phase
     if peak == 0.0:
         raise ValidationError("joint amplitude is identically zero on this grid")
+    # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
     base.view(float)[...] /= peak
     # Frozen in place: JointAmplitude keeps them uncopied.
     base.flags.writeable = False
@@ -322,6 +353,22 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _position_phases(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """exp(i q p) over q x positions, for evenly spaced positions.
+
+    With j = c u + v and c about the square root of the count, position j is
+    p_(c u) + (p_v - p_0), so the table is the product of two short ones,
+    exp(i q p_(c u)) and exp(i q (p_v - p_0)), instead of a cos and a sin per
+    entry.
+    """
+    count = positions.size
+    stride = math.isqrt(count - 1) + 1
+    coarse = _expi(np.multiply.outer(q, positions[::stride]))
+    fine = _expi(np.multiply.outer(q, positions[:stride] - positions[0]))
+    out = np.multiply(coarse[:, :, None], fine[:, None, :])
+    return out.reshape(q.size, -1)[:, :count]
+
+
 def _pair_sums(q: np.ndarray) -> np.ndarray:
     """The 2N-1 distinct values of q_s + q_i on a uniform grid, index m = s + i."""
     return np.concatenate((q[0] + q, q[-1] + q[1:]))
@@ -349,7 +396,7 @@ def _one_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
     fixed = amplitude @ (offset_phases * chirp_fixed[:, None])
     scanned = offset_phases * chirp_scanned[:, None]
     weighted = scanned[:, :, None] * fixed[:, None, :]
-    return weighted.reshape(q.size, -1).T @ _expi(np.multiply.outer(q, positions))
+    return weighted.reshape(q.size, -1).T @ _position_phases(q, positions)
 
 
 def _both_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
@@ -385,7 +432,7 @@ def _both_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
     q_sum = _pair_sums(q)
     a_minus_b = np.subtract.outer(np.arange(n_off), np.arange(n_off)) + n_off - 1
     terms = s[a_minus_b] * _expi(np.multiply.outer(offsets, q_sum))
-    return terms.reshape(-1, 2 * n - 1) @ _expi(np.multiply.outer(q_sum, positions))
+    return terms.reshape(-1, 2 * n - 1) @ _position_phases(q_sum, positions)
 
 
 def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeometry,

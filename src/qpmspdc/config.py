@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .core import CrystalSpec, DetectionGeometry, PumpSpec
@@ -68,6 +69,15 @@ class DispersionConfig:
     kind: str = "ktp"
     constant_index: float | None = None
     table_path: str | None = None
+
+    @cached_property
+    def model(self) -> IndexModel:
+        """The index model, built on first use and shared by every later one.
+
+        The ``design`` poling period and the scenario's pipelines then run on
+        one model, so a table file is read once per configuration.
+        """
+        return self.make_model()
 
     def make_model(self) -> IndexModel:
         if self.kind == "ktp":
@@ -222,7 +232,7 @@ def _parse_crystal(section: _Section, dispersion: DispersionConfig,
             pump_wavelength, degenerate, degenerate,
             pump_axis=pump_axis, signal_axis=signal_axis, idler_axis=idler_axis,
             temperature_c=temperature_c, qpm_order=qpm_order,
-            model=dispersion.make_model())
+            model=dispersion.model)
     else:
         try:
             poling_period = float(poling_raw) / _UM

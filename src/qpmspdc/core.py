@@ -22,16 +22,18 @@ VACUUM_LIGHT_SPEED = 299_792_458.0  # m/s, exact SI definition
 AXES = ("x", "y", "z")
 
 
-def sinc(x):
+def sinc(x, out=None):
     """Unnormalized sinc, sin(x)/x, with sinc(0) = 1.
 
-    Accepts scalars or arrays; even in x and bounded by 1 in magnitude.
+    Accepts scalars or arrays; even in x and bounded by 1 in magnitude. An
+    array result is written into ``out`` when one is given, which must not
+    be x itself.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(np.sin(arr) / arr) if arr else 1.0
     with np.errstate(invalid="ignore"):
-        out = np.sin(arr)
+        out = np.sin(arr, out=out)
         out /= arr
     out[arr == 0.0] = 1.0
     return out

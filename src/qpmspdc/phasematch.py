@@ -86,6 +86,18 @@ def _collinear_density(freqs: FrequencyPair, pump_axis: str, signal_axis: str,
     return (n_p * freqs.omega_pump - n_i * freqs.omega_idler - n_s * freqs.omega_signal) / C
 
 
+def _collinear_mismatch(freqs: FrequencyPair, crystal: CrystalSpec,
+                        model: IndexModel) -> float:
+    """Collinear wavevector imbalance less the grating vector, in rad/m.
+
+    The q-independent part of the paraxial mismatch; zero when the poling
+    period solves the collinear design at these frequencies.
+    """
+    return (_collinear_density(freqs, crystal.pump_axis, crystal.signal_axis,
+                               crystal.idler_axis, crystal.temperature_c, model)
+            - grating_vector(QpmGrating.from_crystal(crystal)))
+
+
 def _paraxial_check(q, k: float, bound: float) -> None:
     qmax = float(np.max(np.abs(q))) if np.ndim(q) else abs(float(q))
     if k <= 0:
@@ -110,11 +122,8 @@ def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
     _paraxial_check(q_idler, n_i * freqs.omega_idler / C, paraxial_bound)
     qs = np.asarray(q_signal, dtype=float)
     qi = np.asarray(q_idler, dtype=float)
-    grating_term = 2.0 * math.pi * crystal.qpm_order / crystal.poling_period
     out = (
-        _collinear_density(freqs, crystal.pump_axis, crystal.signal_axis,
-                           crystal.idler_axis, crystal.temperature_c, model)
-        - grating_term
+        _collinear_mismatch(freqs, crystal, model)
         + C * qi**2 / (2.0 * n_i * freqs.omega_idler)
         + C * qs**2 / (2.0 * n_s * freqs.omega_signal)
         - C * (qi + qs) ** 2 / (2.0 * n_p * freqs.omega_pump)
@@ -122,6 +131,26 @@ def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def paraxial_mismatch_terms(freqs: FrequencyPair, q, crystal: CrystalSpec,
+                           model: IndexModel, *, paraxial_bound: float = 0.2
+                           ) -> tuple[float, float, float, float]:
+    """The paraxial mismatch as a sum of 1D terms over a transverse grid q.
+
+    Returns (constant, a_s, a_i, a_p) such that delta_kz_paraxial equals
+    constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 with
+    a_j = c / (2 n_j w_j), up to rounding. Signal and idler both take their
+    wavevectors from q, which is checked against the paraxial bound per beam
+    as delta_kz_paraxial checks its arguments.
+    """
+    n_p, n_s, n_i = _crystal_indices(freqs, crystal, model)
+    _paraxial_check(q, n_s * freqs.omega_signal / C, paraxial_bound)
+    _paraxial_check(q, n_i * freqs.omega_idler / C, paraxial_bound)
+    return (_collinear_mismatch(freqs, crystal, model),
+            C / (2.0 * n_s * freqs.omega_signal),
+            C / (2.0 * n_i * freqs.omega_idler),
+            C / (2.0 * n_p * freqs.omega_pump))
 
 
 def _angle_wavenumbers(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel,

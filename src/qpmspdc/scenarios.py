@@ -28,7 +28,7 @@ from .phasematch import (QpmGrating, _crystal_indices, design_poling_period,
 
 
 def index_model_for(config: ScenarioConfig) -> IndexModel:
-    return config.dispersion.make_model()
+    return config.dispersion.model
 
 
 def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:

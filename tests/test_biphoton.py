@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpmspdc.biphoton import (SCAN_MODES, ScanResult, _hankel, _pair_sums,
-                              _slit_offsets, build_joint_amplitude,
+                              _position_phases, _slit_offsets,
+                              build_joint_amplitude,
                               coincidence_scan_analytic,
                               coincidence_scan_oracle,
                               normalized_cross_correlation,
@@ -18,12 +21,13 @@ from qpmspdc.core import (CrystalSpec, DetectionGeometry, FrequencyPair,
                           PumpSpec, angular_frequency, sinc, vacuum_wavelength)
 from qpmspdc.dispersion import ConstantIndexModel, group_index
 from qpmspdc.errors import GridCompatibilityError, ValidationError
-from qpmspdc.fields import (AngularSpectrum, MultiSlitAperture, gaussian_source,
+from qpmspdc.fields import (AngularSpectrum, MultiSlitAperture, ThinLens,
+                            apply_element, gaussian_source, propagate,
                             to_angular_spectrum)
 from qpmspdc.phasematch import delta_kz_paraxial
-from qpmspdc.scenarios import (estimate_fringe_period, index_model_for,
-                               joint_amplitude, pump_profile, pump_spectrum,
-                               run_coincidence)
+from qpmspdc.scenarios import (degenerate_pair, estimate_fringe_period,
+                               index_model_for, joint_amplitude, pump_profile,
+                               pump_spectrum, run_coincidence)
 
 OMEGA_PUMP = angular_frequency(413e-9)
 DEGENERATE = FrequencyPair.degenerate(OMEGA_PUMP)
@@ -168,6 +172,19 @@ class TestBuildJointAmplitude:
                                   samples=64)
         assert err.value.required_q_extent is not None
 
+    @pytest.mark.parametrize("case", ["detuned-cw-pump", "zero-pump"])
+    def test_identically_zero_amplitude_rejected(self, case):
+        spectrum, pump, freqs = gaussian_spectrum(), PUMP, DEGENERATE
+        if case == "detuned-cw-pump":
+            pump = PumpSpec(center_wavelength=413e-9, waist_radius=0.5e-3)
+            freqs = FrequencyPair(OMEGA_PUMP / 2, OMEGA_PUMP / 2, delta_omega=1e5)
+        else:
+            spectrum = AngularSpectrum(values=np.zeros(4096, dtype=complex),
+                                       q_extent=spectrum.q_extent, wavelength=413e-9)
+        with pytest.raises(ValidationError, match="identically zero"):
+            build_joint_amplitude(spectrum, pump, vacuum_crystal(), freqs,
+                                  ConstantIndexModel(1.7), q_extent=2e5, samples=64)
+
     def test_stored_value_invariant_spot_check(self, ktp, preset1):
         # Every stored node equals pump-transfer * sinc * envelope * phase.
         from qpmspdc.core import sinc
@@ -254,6 +271,37 @@ class TestScans:
         assert normalized_cross_correlation(result.rates, expected) > 0.999
         np.testing.assert_allclose(result.rates, expected, atol=2e-2)
 
+    @given(waist=st.floats(0.2e-3, 1e-3),
+           focal_length=st.one_of(st.none(), st.floats(0.2, 2.0)),
+           slits=st.one_of(st.none(), st.tuples(st.integers(1, 3),
+                                                st.floats(50e-6, 200e-6),
+                                                st.floats(1.0, 3.0))),
+           distance=st.floats(0.2, 0.5))
+    def test_mirror_symmetry_for_symmetric_pump(self, waist, focal_length, slits,
+                                                distance):
+        # A pump even in x gives scans even in the detector position, by
+        # both routes and in every mode. An odd joint grid is symmetric node
+        # for node, so only rounding separates rate(p) from rate(-p).
+        field = gaussian_source(waist, 413e-9, grid_extent=0.02, sample_count=4096)
+        if focal_length is not None:
+            field = apply_element(field, ThinLens(focal_length))
+        if slits is not None:
+            count, width, spacing = slits
+            field = apply_element(field, MultiSlitAperture(
+                slit_width=width, center_separation=spacing * width, slit_count=count))
+        crystal, model = vacuum_crystal(), ConstantIndexModel(1.7)
+        amplitude = build_joint_amplitude(
+            to_angular_spectrum(field), PUMP, crystal, DEGENERATE, model,
+            q_extent=1e5, samples=129, include_phase=False)
+        geo = geometry(distance=distance)
+        profile = propagate(field, distance)
+        for mode in SCAN_MODES:
+            oracle = coincidence_scan_oracle(amplitude, geo, mode).rates
+            analytic = coincidence_scan_analytic(profile, geo, mode, crystal=crystal,
+                                                 model=model, freqs=DEGENERATE).rates
+            assert np.max(np.abs(oracle - oracle[::-1])) <= 1e-9
+            assert np.max(np.abs(analytic - analytic[::-1])) <= 1e-9
+
     def test_analytic_oracle_agreement_preset1(self, preset1_both):
         assert preset1_both.correlation >= 0.98
 
@@ -294,9 +342,12 @@ class TestScans:
 
         from qpmspdc.config import DispersionConfig
 
+        # The parsed preset already holds the model its design step built; an
+        # equal DispersionConfig that has built none shows what the run builds.
+        config = replace(preset1, dispersion=replace(preset1.dispersion))
         with mock.patch.object(DispersionConfig, "make_model", autospec=True,
                                side_effect=DispersionConfig.make_model) as make:
-            run_coincidence(preset1, method="both")
+            run_coincidence(config, method="both")
         assert make.call_count == 1
 
 
@@ -344,6 +395,37 @@ class TestOracleReference:
         gathered = _hankel(sample_pump_spectrum(spectrum, _pair_sums(q)), q.size)
         direct = sample_pump_spectrum(spectrum, q[:, None] + q[None, :])
         assert np.max(np.abs(gathered - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 81, 97])
+    def test_position_phases_match_direct_table(self, count):
+        # |q p| reaches 600 rad; paper-config-2's scan reaches 583.
+        q = symmetric_q_grid(1.25e6, 2143)
+        positions = np.linspace(-1e-3, 0.4e-3, count)
+        angles = np.multiply.outer(q, positions)
+        direct = np.cos(angles) + 1j * np.sin(angles)
+        assert np.max(np.abs(angles)) >= 600.0
+        assert np.max(np.abs(_position_phases(q, positions) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("temperature_c,crosses_zero", [(20.0, True), (70.0, False)])
+    def test_off_design_fill_matches_whole_grid(self, preset1, temperature_c,
+                                                crosses_zero):
+        # Away from the design temperature the mismatch constant is nonzero.
+        # Below it the sinc argument is negative at the centre and crosses 0
+        # on an ellipse off the centre; above it every term is positive.
+        crystal = replace(preset1.crystal, temperature_c=temperature_c)
+        freqs, model = degenerate_pair(preset1), index_model_for(preset1)
+        spectrum = pump_spectrum(preset1)
+        amplitude = build_joint_amplitude(spectrum, preset1.pump, crystal, freqs,
+                                          model, q_extent=6e5, samples=601,
+                                          include_phase=False)
+        q = amplitude.q_signal
+        phase = 0.5 * crystal.length * delta_kz_paraxial(
+            freqs, q[:, None], q[None, :], crystal, model)
+        assert phase[q.size // 2, q.size // 2] != 0.0
+        assert (np.min(phase) < 0.0 < np.max(phase)) == crosses_zero
+        base = sample_pump_spectrum(spectrum, q[:, None] + q[None, :]) * sinc(phase)
+        base /= np.max(np.abs(base))
+        assert np.max(np.abs(amplitude.base_values - base)) <= 1e-12
 
 
     def test_blocked_fill_matches_whole_grid(self, preset1):

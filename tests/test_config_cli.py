@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpmspdc import cli
-from qpmspdc.config import (PRESET_NAMES, _exact_unit_value, load_scenario,
-                            parse_scenario_text, scenario_to_text)
+from qpmspdc.config import (PRESET_NAMES, DispersionConfig, _exact_unit_value,
+                            load_scenario, parse_scenario_text,
+                            scenario_to_text)
 from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
                             SimulationError, ValidationError,
                             WavelengthWindowError)
@@ -352,6 +353,15 @@ class TestCliCoincidenceScan:
         header = [ln for ln in out.read_text().splitlines()
                   if not ln.startswith("#")][0]
         assert header == "p_m,rate,rate_companion"
+
+    def test_one_index_model_per_command(self, tmp_path, capsys):
+        # The preset's design poling period and the scan share one model.
+        with mock.patch.object(DispersionConfig, "make_model", autospec=True,
+                               side_effect=DispersionConfig.make_model) as make:
+            code = cli.main(["coincidence-scan", "--config", "paper-config-1",
+                             "--out", str(tmp_path / "scan.csv"), "--mode", "both"])
+        assert code == 0, capsys.readouterr().err
+        assert make.call_count == 1
 
     def test_regime_violation_warns_but_succeeds(self, tmp_path):
         config_text = scenario_to_text(load_scenario("paper-config-1")).replace(

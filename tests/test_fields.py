@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpmspdc.core import CrystalSpec, PumpSpec
 from qpmspdc.errors import (GridSizeError, SamplingGuardError,
@@ -112,6 +114,19 @@ class TestPropagate:
         split = propagate(propagate(gaussian, 0.4), 0.8)
         direct = propagate(gaussian, 1.2)
         assert np.max(np.abs(split.values - direct.values)) < 1e-10
+
+    @given(waist=st.floats(0.1e-3, 1e-3),
+           focal_length=st.one_of(st.none(), st.floats(0.5, 5.0)),
+           d1=st.floats(-3.0, 3.0), d2=st.floats(-3.0, 3.0))
+    def test_composition(self, waist, focal_length, d1, d2):
+        # The propagator is one phase per spectral component, so two steps
+        # compose into one, whatever the field and the signs of the steps.
+        field = gaussian_source(waist, WAVELENGTH, grid_extent=0.02, sample_count=1024)
+        if focal_length is not None:
+            field = apply_element(field, ThinLens(focal_length))
+        split = propagate(propagate(field, d1), d2)
+        direct = propagate(field, d1 + d2)
+        assert np.max(np.abs(split.values - direct.values)) <= 1e-10
 
     def test_backward_inverts(self, gaussian):
         back = propagate(propagate(gaussian, 0.9), -0.9)
