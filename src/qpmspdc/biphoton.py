@@ -22,13 +22,18 @@ rearrangements of the same sum and match the full detector-pair transform
 to rounding.
 
 The scan path builds every two-dimensional phase from one-dimensional
-factors. The joint amplitude is the pump at q_s + q_i times sinc(L A / 2),
-and the paraxial mismatch A is a sum of a signal term, an idler term and a
-pair-sum term, so the fill adds three vectors (the pair-sum one through the
-same Hankel view as the pump) instead of evaluating the mismatch cell by
-cell. The oracle's detector-position phases exp(i q p) on the evenly spaced
-scan positions are the product of two short tables. Only the generation
-phase kept on request is evaluated cell by cell, by ``delta_kz_paraxial``.
+factors, and never holds the N x N joint grid. The joint amplitude is the
+pump at q_s + q_i times sinc(L A / 2), and the paraxial mismatch A is a sum
+of a signal term, an idler term and a pair-sum term. ``JointAmplitude``
+keeps these 1D factors; the oracle computes the sinc a block of rows at a
+time, adding three vectors (the pair-sum one through the same Hankel view
+as the pump), just before it transports that block, and applies the pump
+and the unit-peak normalization where they factor out of its contractions.
+A scan's memory thus grows as N, not N^2; ``base_values`` fills the whole
+grid only for a caller that asks for it. The oracle's detector-position
+phases exp(i q p) on the evenly spaced scan positions are the product of
+two short tables. Only the generation phase kept on request is evaluated
+cell by cell, by ``delta_kz_paraxial``.
 
 Spatial scans are evaluated at fixed degenerate frequencies (the detuning
 enters only through the separately exposed spectral envelope). The
@@ -43,7 +48,8 @@ reproduces scans bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -60,14 +66,14 @@ from .phasematch import (delta_kz_paraxial, efficiency_drop_over_scan,
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
 
-# Joint-grid cells the fill computes at a time. Its temporaries stay at a
-# few MB instead of several N x N arrays, so peak memory is the output grid
-# plus one block, whatever size the previous ops' grids had.
+# Joint-grid cells a whole-grid fill (``base_values``, the kept phase)
+# computes at a time, so its temporaries stay at a few MB besides the grid.
 _FILL_CELLS = 1 << 18
 
-# Joint-grid rows the both-together oracle shears at a time; bounds its work
-# array to 128 x (N + 127) instead of N x (2N - 1), mostly zeros.
-_SHEAR_ROWS = 128
+# Joint-grid rows the oracle streams at a time. Its buffers then take a few
+# MB; the both-together shear array is 128 x (N + 127) instead of
+# N x (2N - 1), mostly zeros.
+_STREAM_ROWS = 128
 
 
 def spectral_envelope(freqs: FrequencyPair, pump: PumpSpec) -> float:
@@ -95,39 +101,126 @@ def sample_pump_spectrum(spectrum: AngularSpectrum, q_values: np.ndarray) -> np.
 
 @dataclass(frozen=True, eq=False)
 class JointAmplitude:
-    """Joint signal/idler amplitude on a symmetric (q_s, q_i) grid.
+    """Joint signal/idler amplitude on a symmetric (q_s, q_i) grid, kept factored.
 
-    base_values holds pump-transfer * sinc * spectral-envelope, normalized to
+    The amplitude is the pump at q_s + q_i times sinc(L A / 2), normalized to
     unit peak magnitude, on the square grid q_signal x q_idler (one shared
-    axis). phase, when kept, holds the generation phase L_z A / 2 in rad and
+    axis). It is held as 1D factors: ``pump_sums``, the pump at the 2N-1 pair
+    sums (index s + i), and the signal, idler and pair-sum terms of the sinc
+    argument L A / 2. Scans stream the grid a block of rows at a time
+    (``sinc_rows``) and apply the pump and the normalization around their
+    contractions; ``base_values`` fills the whole grid only when asked for.
+    phase, when kept, holds the generation phase L_z A / 2 in rad and
     ``values`` recombines the two.
     """
 
-    base_values: np.ndarray
     q_signal: np.ndarray
+    pump_sums: np.ndarray
+    signal_term: np.ndarray
+    idler_term: np.ndarray
+    pair_term: np.ndarray
     freqs: FrequencyPair
     crystal: CrystalSpec
     phase: np.ndarray | None = None
+    pump_magnitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         q = frozen_array(self.q_signal, float)
-        base = frozen_array(self.base_values, complex)
+        if q.ndim != 1:
+            raise ValidationError("joint amplitude q_signal must be a 1D grid")
+        n = q.size
+        arrays = {"pump_sums": (complex, 2 * n - 1), "signal_term": (float, n),
+                  "idler_term": (float, n), "pair_term": (float, 2 * n - 1)}
+        for name, (dtype, size) in arrays.items():
+            line = frozen_array(getattr(self, name), dtype)
+            if line.shape != (size,):
+                raise ValidationError(f"joint amplitude {name} must hold {size} values")
+            object.__setattr__(self, name, line)
         phase = None if self.phase is None else frozen_array(self.phase, float)
-        if base.shape != (q.size, q.size) or (phase is not None and phase.shape != base.shape):
-            raise ValidationError("joint amplitude arrays must be square 2D grids over q_signal")
+        if phase is not None and phase.shape != (n, n):
+            raise ValidationError("joint amplitude phase must be a square 2D grid over q_signal")
         object.__setattr__(self, "q_signal", q)
-        object.__setattr__(self, "base_values", base)
         object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "pump_magnitude", frozen_array(np.abs(self.pump_sums), float))
 
     @property
     def q_idler(self) -> np.ndarray:
         return self.q_signal
 
+    def sinc_rows(self, start: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  *, transpose: bool = False) -> tuple[np.ndarray, float]:
+        """sinc(L A / 2) on the grid rows from ``start``, and their peak |P| |sinc|.
+
+        ``buffers`` are three rows x N arrays: float for the argument (then
+        the magnitudes), float for the sinc and bool for the sinc's zero
+        mask; the block holds as many rows as they have, up to the grid's
+        last. With ``transpose`` the rows belong to the idler, which swaps
+        the signal and idler terms: the rows are then exactly the columns of
+        the untransposed grid, because float addition commutes and the
+        pair-sum and pump factors depend on s + i alone.
+        """
+        argument, profile, zeros = buffers
+        n = self.q_signal.size
+        count = min(argument.shape[0], n - start)
+        row_term, column_term = ((self.idler_term, self.signal_term) if transpose
+                                 else (self.signal_term, self.idler_term))
+        block = np.add(row_term[start:start + count, None], column_term,
+                       out=argument[:count])
+        block += _hankel(self.pair_term[start:], n, count)
+        block_sinc = sinc(block, out=profile[:count], zeros=zeros[:count])
+        # |P| |sinc| on real arrays is the block's magnitude, to rounding.
+        magnitude = np.abs(block_sinc, out=block)
+        magnitude *= _hankel(self.pump_magnitude[start:], n, count)
+        return block_sinc, float(np.max(magnitude))
+
+    @property
+    def base_values(self) -> np.ndarray:
+        """The phase-stripped grid, filled a block of rows at a time."""
+        n = self.q_signal.size
+        rows = max(1, _FILL_CELLS // n)
+        buffers = _buffers(_row_layout(rows, n))
+        grid = np.empty((n, n), dtype=complex)
+        peak = 0.0
+        for start in range(0, n, rows):
+            block, block_peak = self.sinc_rows(start, buffers)
+            np.multiply(_hankel(self.pump_sums[start:], n, block.shape[0]), block,
+                        out=grid[start:start + block.shape[0]])
+            peak = max(peak, block_peak)
+        # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
+        grid.view(float)[...] /= _nonzero_peak(peak)
+        return grid
+
     @property
     def values(self) -> np.ndarray:
         if self.phase is None:
             return self.base_values
-        return self.base_values * np.exp(1j * self.phase)
+        return np.exp(1j * self.phase) * self.base_values
+
+
+def _nonzero_peak(peak: float) -> float:
+    if peak == 0.0:
+        raise ValidationError("joint amplitude is identically zero on this grid")
+    return peak
+
+
+def _row_layout(rows: int, n: int) -> tuple:
+    """Layout of the ``sinc_rows`` buffers for blocks of ``rows`` rows."""
+    return (((rows, n), float), ((rows, n), float), ((rows, n), bool))
+
+
+def _buffers(layout) -> list[np.ndarray]:
+    """Uninitialized arrays of the given (shape, dtype) pairs, carved from one allocation.
+
+    A call's buffers come from one block of memory instead of one each, so
+    the allocator hands back the same memory call after call instead of
+    mapping fresh pages.
+    """
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout]
+    # Each array starts on a 64-byte boundary.
+    starts = list(accumulate((-(-size // 64) * 64 for size in sizes), initial=0))
+    memory = np.empty(starts[-1], dtype=np.uint8)
+    return [memory[start:start + size].view(dtype).reshape(shape)
+            for (shape, dtype), start, size in zip(layout, starts, sizes)]
 
 
 def symmetric_q_grid(q_extent: float, samples: int) -> np.ndarray:
@@ -144,19 +237,21 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
                           model: IndexModel, *, q_extent: float, samples: int,
                           include_phase: bool = True,
                           paraxial_bound: float = 0.2) -> JointAmplitude:
-    """Fill the joint amplitude grid from a pump spectrum at the crystal plane.
+    """Joint amplitude, in its 1D factors, from a pump spectrum at the crystal plane.
 
     Every node (q_s, q_i) needs the pump component at q_s + q_i, so the pump
     spectrum grid must span twice this grid's half extent; otherwise the
     required pump q extent is reported. On the uniform grid that sum takes
-    2N-1 values, so the pump is interpolated once per value and read through
-    a Hankel view. The sinc argument L A / 2 is likewise built from 1D terms,
-    a signal term plus an idler term plus a pair-sum term read through the
-    same Hankel view (``paraxial_mismatch_terms``). The grid is filled a block
-    of rows at a time. The spectral envelope is one scalar, which the
-    unit-peak normalization cancels, so it only decides whether the amplitude
-    is identically zero. The kept phase comes from ``delta_kz_paraxial``
-    itself and equals the whole-grid formula bit for bit.
+    2N-1 values, so the pump is interpolated once per value, to be read
+    through a Hankel view. The sinc argument L A / 2 is likewise kept as 1D
+    terms, a signal term plus an idler term plus a pair-sum term read through
+    the same Hankel view (``paraxial_mismatch_terms``). No N x N grid is
+    filled here but the kept phase. The spectral envelope is one scalar,
+    which the unit-peak normalization cancels, so it only decides whether the
+    amplitude is identically zero, as an all-zero pump does; a grid on which
+    the pump and the sinc never overlap is rejected when it is read. The
+    kept phase comes from ``delta_kz_paraxial`` itself and equals the
+    whole-grid formula bit for bit.
     """
     q = symmetric_q_grid(q_extent, samples)
     q_sum_max = 2.0 * float(np.max(np.abs(q)))
@@ -176,50 +271,28 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
         detuning = n_g * freqs.delta_omega / C
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
         freqs, q, crystal, model, paraxial_bound=paraxial_bound)
-    if spectral_envelope(freqs, pump) == 0.0:
+    if spectral_envelope(freqs, pump) == 0.0 or not np.any(pump_sums):
         raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length
-    signal_term = (constant - detuning + a_signal * q * q) * half_length
-    idler_term = a_idler * q * q * half_length
-    pair_term = -a_pump * q_sum * q_sum * half_length
-    pump_magnitude = np.abs(pump_sums)
-    base = np.empty((n, n), dtype=complex)
-    phase = np.empty((n, n)) if include_phase else None
-    rows = max(1, _FILL_CELLS // n)
-    argument = np.empty((rows, n))
-    profile = np.empty((rows, n))
-    peak = 0.0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        count = stop - start
-        block_argument = np.add(signal_term[start:stop, None], idler_term,
-                                out=argument[:count])
-        block_argument += _hankel(pair_term[start:], n, count)
-        block_sinc = sinc(block_argument, out=profile[:count])
-        np.multiply(_hankel(pump_sums[start:], n, count), block_sinc,
-                    out=base[start:stop])
-        # |P| |sinc| on real arrays is the block's magnitude, to rounding.
-        block_magnitude = np.abs(block_sinc, out=block_sinc)
-        block_magnitude *= _hankel(pump_magnitude[start:], n, count)
-        peak = max(peak, float(np.max(block_magnitude)))
-        if phase is not None:
-            block_phase = delta_kz_paraxial(freqs, q[start:stop, None], q[None, :],
-                                            crystal, model,
+    phase = None
+    if include_phase:
+        phase = np.empty((n, n))
+        rows = max(1, _FILL_CELLS // n)
+        for start in range(0, n, rows):
+            block_phase = delta_kz_paraxial(freqs, q[start:start + rows, None],
+                                            q[None, :], crystal, model,
                                             paraxial_bound=paraxial_bound)
             if detuning:
                 block_phase -= detuning
             block_phase *= half_length
-            phase[start:stop] = block_phase
-    if peak == 0.0:
-        raise ValidationError("joint amplitude is identically zero on this grid")
-    # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
-    base.view(float)[...] /= peak
-    # Frozen in place: JointAmplitude keeps them uncopied.
-    base.flags.writeable = False
-    if phase is not None:
+            phase[start:start + rows] = block_phase
+        # Frozen in place: JointAmplitude keeps it uncopied.
         phase.flags.writeable = False
-    return JointAmplitude(base_values=base, q_signal=q, freqs=freqs,
-                          crystal=crystal, phase=phase)
+    return JointAmplitude(q_signal=q, pump_sums=pump_sums,
+                          signal_term=(constant - detuning + a_signal * q * q) * half_length,
+                          idler_term=a_idler * q * q * half_length,
+                          pair_term=-a_pump * q_sum * q_sum * half_length,
+                          freqs=freqs, crystal=crystal, phase=phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +426,8 @@ def _expi(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _position_phases(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """exp(i q p) over q x positions, for evenly spaced positions.
+def _position_phases(q: np.ndarray, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i q p) over q x positions, for evenly spaced positions, into ``out``.
 
     With j = c u + v and c about the square root of the count, position j is
     p_(c u) + (p_v - p_0), so the table is the product of two short ones,
@@ -365,8 +438,10 @@ def _position_phases(q: np.ndarray, positions: np.ndarray) -> np.ndarray:
     stride = math.isqrt(count - 1) + 1
     coarse = _expi(np.multiply.outer(q, positions[::stride]))
     fine = _expi(np.multiply.outer(q, positions[:stride] - positions[0]))
-    out = np.multiply(coarse[:, :, None], fine[:, None, :])
-    return out.reshape(q.size, -1)[:, :count]
+    for u, first in enumerate(range(0, count, stride)):
+        width = min(stride, count - first)
+        np.multiply(coarse[:, u, None], fine[:, :width], out=out[:, first:first + width])
+    return out
 
 
 def _pair_sums(q: np.ndarray) -> np.ndarray:
@@ -383,56 +458,88 @@ def _hankel(line: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
     return as_strided(line, shape=(rows, n), strides=(step, step), writeable=False)
 
 
-def _one_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
+def _one_scanned(amplitude: JointAmplitude, positions: np.ndarray,
                  offsets: np.ndarray, chirp_scanned: np.ndarray,
-                 chirp_fixed: np.ndarray) -> np.ndarray:
+                 chirp_fixed: np.ndarray, transpose: bool) -> np.ndarray:
     """Amplitudes [scanned offset x fixed offset, scan position], one detector scanned.
 
-    Rows of ``amplitude`` belong to the scanned photon. The fixed detector is
-    contracted first; the scanned detector's phase exp(i q (P + o)) splits
-    into a per-position and a per-offset factor.
+    The scanned photon's grid rows (the idler's with ``transpose``) are
+    streamed a block at a time, times the pump, and contracted with the fixed
+    detector's phases; the normalization is applied to the contraction. The
+    scanned detector's phase exp(i q (P + o)) splits into a per-position and
+    a per-offset factor.
     """
+    q = amplitude.q_signal
+    n = q.size
+    rows = min(_STREAM_ROWS, n)
     offset_phases = _expi(np.multiply.outer(q, offsets))
-    fixed = amplitude @ (offset_phases * chirp_fixed[:, None])
+    fixed_phases = offset_phases * chirp_fixed[:, None]
+    n_off = offsets.size
+    *buffers, block, fixed, weighted, table, detected = _buffers(_row_layout(rows, n) + (
+        ((rows, n), complex), ((n, n_off), complex), ((n, n_off, n_off), complex),
+        ((n, positions.size), complex), ((n_off * n_off, positions.size), complex)))
+    peak = 0.0
+    for start in range(0, n, rows):
+        block_sinc, block_peak = amplitude.sinc_rows(start, buffers, transpose=transpose)
+        count = block_sinc.shape[0]
+        pumped = np.multiply(_hankel(amplitude.pump_sums[start:], n, count), block_sinc,
+                             out=block[:count])
+        np.matmul(pumped, fixed_phases, out=fixed[start:start + count])
+        peak = max(peak, block_peak)
+    fixed.view(float)[...] /= _nonzero_peak(peak)
     scanned = offset_phases * chirp_scanned[:, None]
-    weighted = scanned[:, :, None] * fixed[:, None, :]
-    return weighted.reshape(q.size, -1).T @ _position_phases(q, positions)
+    np.multiply(scanned[:, :, None], fixed[:, None, :], out=weighted)
+    return np.matmul(weighted.reshape(n, -1).T, _position_phases(q, positions, table),
+                     out=detected)
 
 
-def _both_scanned(amplitude: np.ndarray, q: np.ndarray, positions: np.ndarray,
+def _both_scanned(amplitude: JointAmplitude, positions: np.ndarray,
                   offsets: np.ndarray, chirp_signal: np.ndarray,
                   chirp_idler: np.ndarray) -> np.ndarray:
     """Amplitudes [signal offset x idler offset, scan position], both detectors at P.
 
     With p_s = P + o_a and p_i = P + o_b the double sum becomes
     sum_m exp(i q+_m (P + o_b)) S[a - b, m] over the pair sums q+_m = q_s + q_i,
-    where S[d, m] = sum_s A[s, m - s] exp(i q_s (o_a - o_b)) and A carries both
-    transport chirps (the signal chirp rides on the offset phases). A is
-    sheared into the (s, m = s + i) layout to form S a block of rows at a
-    time. Every block writes the same band of one work array, so its zeros
-    are written once.
+    where S[d, m] = P_m sum_s sinc[s, m - s] C_s C_i exp(i q_s (o_a - o_b))
+    with the pump P_m and both transport chirps C (the signal chirp rides on
+    the offset phases). Blocks of sinc rows times the idler chirp are written
+    sheared into the (s, m = s + i) layout and contracted; the pump and the
+    normalization scale S afterwards, once per pair sum. Every block writes
+    the same band of one work array, so its zeros are written once.
     """
+    q = amplitude.q_signal
     n = q.size
     n_off = offsets.size
     differences = np.concatenate((offsets[0] - offsets[:0:-1], offsets - offsets[0]))
     signal_phases = _expi(np.multiply.outer(differences, q))
     signal_phases *= chirp_signal
-    s = np.zeros((differences.size, 2 * n - 1), dtype=complex)
-    block_rows = min(_SHEAR_ROWS, n)
-    work = np.zeros((block_rows, block_rows + n - 1), dtype=complex)
-    for start in range(0, n, block_rows):
-        rows = amplitude[start:start + block_rows]
-        count = rows.shape[0]
+    rows = min(_STREAM_ROWS, n)
+    *buffers, work, product, s, terms, table, detected = _buffers(_row_layout(rows, n) + (
+        ((rows, rows + n - 1), complex), ((differences.size, rows + n - 1), complex),
+        ((differences.size, 2 * n - 1), complex), ((n_off, n_off, 2 * n - 1), complex),
+        ((2 * n - 1, positions.size), complex), ((n_off * n_off, positions.size), complex)))
+    work.fill(0.0)
+    s.fill(0.0)
+    peak = 0.0
+    for start in range(0, n, rows):
+        block_sinc, block_peak = amplitude.sinc_rows(start, buffers)
+        count = block_sinc.shape[0]
         sheared = work[:count, :count + n - 1]
-        diagonals = as_strided(sheared, shape=rows.shape,
+        diagonals = as_strided(sheared, shape=block_sinc.shape,
                                strides=(sheared.strides[0] + sheared.strides[1],
                                         sheared.strides[1]))
-        np.multiply(rows, chirp_idler, out=diagonals)
-        s[:, start:start + count + n - 1] += signal_phases[:, start:start + count] @ sheared
+        np.multiply(block_sinc, chirp_idler, out=diagonals)
+        band = np.matmul(signal_phases[:, start:start + count], sheared,
+                         out=product[:, :count + n - 1])
+        s[:, start:start + count + n - 1] += band
+        peak = max(peak, block_peak)
+    s *= amplitude.pump_sums / _nonzero_peak(peak)
     q_sum = _pair_sums(q)
     a_minus_b = np.subtract.outer(np.arange(n_off), np.arange(n_off)) + n_off - 1
-    terms = s[a_minus_b] * _expi(np.multiply.outer(offsets, q_sum))
-    return terms.reshape(-1, 2 * n - 1) @ _position_phases(q_sum, positions)
+    np.take(s, a_minus_b, axis=0, out=terms)
+    terms *= _expi(np.multiply.outer(offsets, q_sum))
+    return np.matmul(terms.reshape(-1, 2 * n - 1), _position_phases(q_sum, positions, table),
+                     out=detected)
 
 
 def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeometry,
@@ -477,13 +584,14 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
     chirp_signal = _expi(q * q * (-z / (2.0 * k_signal)))
     chirp_idler = (chirp_signal if k_idler == k_signal
                    else _expi(q * q * (-z / (2.0 * k_idler))))
-    base = amplitude.base_values
     if mode == "both-together":
-        detected = _both_scanned(base, q, positions, offsets, chirp_signal, chirp_idler)
+        detected = _both_scanned(amplitude, positions, offsets, chirp_signal, chirp_idler)
     elif mode == "signal-only":
-        detected = _one_scanned(base, q, positions, offsets, chirp_signal, chirp_idler)
+        detected = _one_scanned(amplitude, positions, offsets, chirp_signal, chirp_idler,
+                                transpose=False)
     else:
-        detected = _one_scanned(base.T, q, positions, offsets, chirp_idler, chirp_signal)
+        detected = _one_scanned(amplitude, positions, offsets, chirp_idler, chirp_signal,
+                                transpose=True)
     raw = (np.abs(detected) ** 2).mean(axis=0)
     return _finalize(positions, raw, mode, geometry, "oracle", warnings)
 

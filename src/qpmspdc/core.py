@@ -22,12 +22,13 @@ VACUUM_LIGHT_SPEED = 299_792_458.0  # m/s, exact SI definition
 AXES = ("x", "y", "z")
 
 
-def sinc(x, out=None):
+def sinc(x, out=None, zeros=None):
     """Unnormalized sinc, sin(x)/x, with sinc(0) = 1.
 
     Accepts scalars or arrays; even in x and bounded by 1 in magnitude. An
     array result is written into ``out`` when one is given, which must not
-    be x itself.
+    be x itself; ``zeros``, a boolean array shaped like x, receives the
+    x == 0 mask, so that with both given the call allocates no array.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
@@ -35,7 +36,7 @@ def sinc(x, out=None):
     with np.errstate(invalid="ignore"):
         out = np.sin(arr, out=out)
         out /= arr
-    out[arr == 0.0] = 1.0
+    np.copyto(out, 1.0, where=np.equal(arr, 0.0, out=zeros))
     return out
 
 

@@ -133,24 +133,36 @@ def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
     return out
 
 
+def paraxial_coefficients(freqs: FrequencyPair, indices) -> tuple[float, float, float]:
+    """Quadratic coefficients (a_s, a_i, a_p) = c / (2 n_j w_j) of the paraxial mismatch.
+
+    ``indices`` is the (n_pump, n_signal, n_idler) triple of the crystal at
+    the pair's frequencies. The sinc's reach along the anti-diagonal, which
+    sizes the joint grid, and the joint fill both read them from here.
+    """
+    n_p, n_s, n_i = indices
+    return (C / (2.0 * n_s * freqs.omega_signal),
+            C / (2.0 * n_i * freqs.omega_idler),
+            C / (2.0 * n_p * freqs.omega_pump))
+
+
 def paraxial_mismatch_terms(freqs: FrequencyPair, q, crystal: CrystalSpec,
                            model: IndexModel, *, paraxial_bound: float = 0.2
                            ) -> tuple[float, float, float, float]:
     """The paraxial mismatch as a sum of 1D terms over a transverse grid q.
 
     Returns (constant, a_s, a_i, a_p) such that delta_kz_paraxial equals
-    constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 with
-    a_j = c / (2 n_j w_j), up to rounding. Signal and idler both take their
-    wavevectors from q, which is checked against the paraxial bound per beam
-    as delta_kz_paraxial checks its arguments.
+    constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 with the
+    ``paraxial_coefficients`` a_j, up to rounding. Signal and idler both take
+    their wavevectors from q, which is checked against the paraxial bound per
+    beam as delta_kz_paraxial checks its arguments.
     """
-    n_p, n_s, n_i = _crystal_indices(freqs, crystal, model)
+    indices = _crystal_indices(freqs, crystal, model)
+    _, n_s, n_i = indices
     _paraxial_check(q, n_s * freqs.omega_signal / C, paraxial_bound)
     _paraxial_check(q, n_i * freqs.omega_idler / C, paraxial_bound)
     return (_collinear_mismatch(freqs, crystal, model),
-            C / (2.0 * n_s * freqs.omega_signal),
-            C / (2.0 * n_i * freqs.omega_idler),
-            C / (2.0 * n_p * freqs.omega_pump))
+            *paraxial_coefficients(freqs, indices))
 
 
 def _angle_wavenumbers(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel,

@@ -24,7 +24,7 @@ from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
 from .phasematch import (QpmGrating, _crystal_indices, design_poling_period,
                          delta_kz_paraxial, fourier_coefficient,
-                         maker_efficiency)
+                         maker_efficiency, paraxial_coefficients)
 
 
 def index_model_for(config: ScenarioConfig) -> IndexModel:
@@ -75,10 +75,10 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     z = detection.distance
     k_dc = min(freqs.omega_signal, freqs.omega_idler) / C
     k_pump = freqs.omega_pump / C
-    _, n_s, n_i = _crystal_indices(freqs, crystal, model)
+    a_signal, a_idler, _ = paraxial_coefficients(
+        freqs, _crystal_indices(freqs, crystal, model))
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
-    beta = 0.5 * crystal.length * (
-        C / (2.0 * n_s * freqs.omega_signal) + C / (2.0 * n_i * freqs.omega_idler))
+    beta = 0.5 * crystal.length * (a_signal + a_idler)
     tail_target = 0.005 * math.sqrt(math.pi * k_dc / z)
     u_need = (1.0 / (2.0 * beta * (z / k_dc) * tail_target)) ** (1.0 / 3.0)
     p_eff = 0.5 * detection.scan_range + 0.5 * detection.slit_width

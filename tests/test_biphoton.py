@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpmspdc.biphoton import (SCAN_MODES, ScanResult, _hankel, _pair_sums,
-                              _position_phases, _slit_offsets,
-                              build_joint_amplitude,
+from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _hankel,
+                              _pair_sums, _position_phases, _row_layout,
+                              _slit_offsets, build_joint_amplitude,
                               coincidence_scan_analytic,
                               coincidence_scan_oracle,
                               normalized_cross_correlation,
@@ -25,9 +26,10 @@ from qpmspdc.fields import (AngularSpectrum, MultiSlitAperture, ThinLens,
                             apply_element, gaussian_source, propagate,
                             to_angular_spectrum)
 from qpmspdc.phasematch import delta_kz_paraxial
-from qpmspdc.scenarios import (degenerate_pair, estimate_fringe_period,
-                               index_model_for, joint_amplitude, pump_profile,
-                               pump_spectrum, run_coincidence)
+from qpmspdc.scenarios import (auto_joint_grid, degenerate_pair,
+                               estimate_fringe_period, index_model_for,
+                               joint_amplitude, pump_profile, pump_spectrum,
+                               run_coincidence)
 
 OMEGA_PUMP = angular_frequency(413e-9)
 DEGENERATE = FrequencyPair.degenerate(OMEGA_PUMP)
@@ -185,6 +187,22 @@ class TestBuildJointAmplitude:
             build_joint_amplitude(spectrum, pump, vacuum_crystal(), freqs,
                                   ConstantIndexModel(1.7), q_extent=2e5, samples=64)
 
+    def test_underflowing_amplitude_rejected_when_read(self):
+        # A pump of the smallest subnormal times a sinc below 1/2 rounds to 0
+        # in every cell, although the pump itself is not all zero, so only
+        # the streamed peak can tell.
+        q = symmetric_q_grid(2e4, 33)
+        amplitude = JointAmplitude(
+            q_signal=q, pump_sums=np.full(2 * q.size - 1, 5e-324 + 0j),
+            signal_term=np.full(q.size, 100.0), idler_term=np.zeros(q.size),
+            pair_term=np.zeros(2 * q.size - 1), freqs=DEGENERATE,
+            crystal=vacuum_crystal())
+        with pytest.raises(ValidationError, match="identically zero"):
+            amplitude.base_values
+        for mode in SCAN_MODES:
+            with pytest.raises(ValidationError, match="identically zero"):
+                coincidence_scan_oracle(amplitude, geometry(), mode)
+
     def test_stored_value_invariant_spot_check(self, ktp, preset1):
         # Every stored node equals pump-transfer * sinc * envelope * phase.
         from qpmspdc.core import sinc
@@ -203,8 +221,9 @@ class TestBuildJointAmplitude:
         full = raw * sinc(0.5 * amplitude.crystal.length * dkz) * envelope
         full = full / np.max(np.abs(full))
         expected = full * np.exp(1j * 0.5 * amplitude.crystal.length * dkz)
+        values = amplitude.values
         for i, j in zip(rows, cols):
-            assert amplitude.values[i, j] == pytest.approx(expected[i, j], abs=1e-12)
+            assert values[i, j] == pytest.approx(expected[i, j], abs=1e-12)
 
 
 class TestScans:
@@ -404,7 +423,8 @@ class TestOracleReference:
         angles = np.multiply.outer(q, positions)
         direct = np.cos(angles) + 1j * np.sin(angles)
         assert np.max(np.abs(angles)) >= 600.0
-        assert np.max(np.abs(_position_phases(q, positions) - direct)) <= 1e-12
+        table = _position_phases(q, positions, np.empty(direct.shape, dtype=complex))
+        assert np.max(np.abs(table - direct)) <= 1e-12
 
     @pytest.mark.parametrize("temperature_c,crosses_zero", [(20.0, True), (70.0, False)])
     def test_off_design_fill_matches_whole_grid(self, preset1, temperature_c,
@@ -447,6 +467,63 @@ class TestOracleReference:
         base /= np.max(np.abs(base))
         assert np.array_equal(amplitude.phase, phase)
         assert np.max(np.abs(amplitude.base_values - base)) <= 1e-12
+
+
+    def test_transposed_rows_match_columns(self, preset1):
+        # The idler-only stream reads the grid's columns as transposed rows:
+        # odd grid, partial last block, detuned pair as in the blocked fill.
+        freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
+        amplitude = build_joint_amplitude(pump_spectrum(preset1), PUMP, preset1.crystal,
+                                          freqs, index_model_for(preset1),
+                                          q_extent=2.5e5, samples=817,
+                                          include_phase=False)
+        n = amplitude.q_signal.size
+        buffers = [np.empty(shape, dtype) for shape, dtype in _row_layout(300, n)]
+        grids, peaks = [], []
+        for transpose in (False, True):
+            grid = np.empty((n, n), dtype=complex)
+            peak = 0.0
+            for start in range(0, n, 300):
+                block, block_peak = amplitude.sinc_rows(start, buffers, transpose=transpose)
+                count = block.shape[0]
+                np.multiply(_hankel(amplitude.pump_sums[start:], n, count), block,
+                            out=grid[start:start + count])
+                peak = max(peak, block_peak)
+            grids.append(grid)
+            peaks.append(peak)
+        assert not np.array_equal(grids[0], grids[0].T)
+        assert np.array_equal(grids[1], grids[0].T)
+        assert peaks[1] == peaks[0]
+        base = grids[0]
+        base.view(float)[...] /= peaks[0]
+        assert np.array_equal(amplitude.base_values, base)
+
+
+class TestStreaming:
+    def test_scan_memory_stays_below_half_a_grid(self, preset2):
+        # The oracle streams the joint grid, so no scan mode holds the
+        # N x N complex grid, even at twice the automatic sample count.
+        text = scenario_to_text(preset2).replace("joint_grid_samples = 0",
+                                                 "joint_grid_samples = 2144")
+        config = parse_scenario_text(text)
+        half_grid = 2144 * 2144 * 16 // 2
+        for mode in SCAN_MODES:
+            tracemalloc.start()
+            try:
+                run_coincidence(config, detectors=mode, method="oracle")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < half_grid, (mode, peak)
+
+    @pytest.mark.parametrize("name,expected", [
+        ("preset1", (249400.95752897154, 816, ())),
+        ("preset2", (284392.0621452259, 1072, ())),
+    ])
+    def test_automatic_grids_pinned(self, request, name, expected):
+        config = request.getfixturevalue(name)
+        assert auto_joint_grid(config, degenerate_pair(config),
+                               index_model_for(config)) == expected
 
 
 class TestScanResult:

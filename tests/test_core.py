@@ -29,6 +29,14 @@ class TestSinc:
         assert out.shape == (3,)
         assert out[0] == 1.0
 
+    def test_buffers_match_allocating_call(self):
+        x = np.array([[0.0, -2.5, math.pi], [1e-9, 0.0, 7.0]])
+        out, zeros = np.empty_like(x), np.empty(x.shape, dtype=bool)
+        result = sinc(x, out=out, zeros=zeros)
+        assert result is out
+        assert np.array_equal(out, sinc(x))
+        assert np.array_equal(zeros, x == 0.0)
+
     @given(finite_floats)
     def test_even(self, x):
         assert sinc(x) == pytest.approx(sinc(-x), abs=1e-15)
