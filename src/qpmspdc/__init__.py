@@ -23,9 +23,9 @@ from .fields import (AngularSpectrum, MultiSlitAperture, SampledField,
                      ThinLens, apply_element, gaussian_source,
                      march_to_crystal_exit, propagate, to_angular_spectrum,
                      to_sampled_field)
-from .phasematch import (QpmGrating, design_poling_period, delta_kz_paraxial,
+from .phasematch import (design_poling_period, delta_kz_paraxial,
                          detector_angle, efficiency_drop_over_scan,
-                         first_maker_zero, fourier_coefficient,
-                         grating_vector, maker_efficiency, mismatch_a)
+                         fourier_coefficient, grating_vector,
+                         maker_efficiency, mismatch_a)
 
 __version__ = "0.1.0"

@@ -32,18 +32,17 @@ and the unit-peak normalization where they factor out of its contractions.
 A scan's memory thus grows as N, not N^2; ``base_values`` fills the whole
 grid only for a caller that asks for it. The oracle's detector-position
 phases exp(i q p) on the evenly spaced scan positions are the product of
-two short tables. Only the generation phase kept on request is evaluated
-cell by cell, by ``delta_kz_paraxial``.
+two short tables.
 
-Spatial scans are evaluated at fixed degenerate frequencies (the detuning
-enters only through the separately exposed spectral envelope). The
-generation phase exp(i L_z A / 2), kept with the amplitude on request,
-encodes the longitudinal birth position. Single-plane intensities depend on
-it only weakly: transporting the phase-carrying amplitude moves normalized
-oracle rates of the presets by up to 4.9e-4 (paper-config-2 signal-only;
-2.7e-4 with both detectors together). The scan routines consume the
-phase-stripped amplitude, which is why swapping the phase factor for 1
-reproduces scans bit for bit.
+Spatial scans are evaluated at fixed frequencies; a detuned pair enters the
+sinc argument through the pump group-index term of A. The generation phase
+exp(i L_z A / 2), kept with the amplitude on request, is that same sinc
+argument and encodes the longitudinal birth position. Single-plane
+intensities depend on it only weakly: transporting the phase-carrying
+amplitude moves normalized oracle rates of the presets by up to 4.9e-4
+(paper-config-2 signal-only; 2.7e-4 with both detectors together). The scan
+routines consume the phase-stripped amplitude, which is why swapping the
+phase factor for 1 reproduces scans bit for bit.
 """
 from __future__ import annotations
 
@@ -61,14 +60,9 @@ from .dispersion import IndexModel, group_index
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
 from .fields import AngularSpectrum, SampledField, _centered_grid
-from .phasematch import (delta_kz_paraxial, efficiency_drop_over_scan,
-                         paraxial_mismatch_terms)
+from .phasematch import efficiency_drop_over_scan, paraxial_mismatch_terms
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
-
-# Joint-grid cells a whole-grid fill (``base_values``, the kept phase)
-# computes at a time, so its temporaries stay at a few MB besides the grid.
-_FILL_CELLS = 1 << 18
 
 # Joint-grid rows the oracle streams at a time. Its buffers then take a few
 # MB; the both-together shear array is 128 x (N + 127) instead of
@@ -110,8 +104,10 @@ class JointAmplitude:
     argument L A / 2. Scans stream the grid a block of rows at a time
     (``sinc_rows``) and apply the pump and the normalization around their
     contractions; ``base_values`` fills the whole grid only when asked for.
-    phase, when kept, holds the generation phase L_z A / 2 in rad and
-    ``values`` recombines the two.
+    With ``include_phase`` the amplitude carries the generation phase
+    exp(i L_z A / 2), whose argument is the sinc argument itself: ``phase``
+    sums the three terms as ``sinc_rows`` does, and ``values`` recombines it
+    with ``base_values``.
     """
 
     q_signal: np.ndarray
@@ -121,7 +117,7 @@ class JointAmplitude:
     pair_term: np.ndarray
     freqs: FrequencyPair
     crystal: CrystalSpec
-    phase: np.ndarray | None = None
+    include_phase: bool = False
     pump_magnitude: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -136,11 +132,7 @@ class JointAmplitude:
             if line.shape != (size,):
                 raise ValidationError(f"joint amplitude {name} must hold {size} values")
             object.__setattr__(self, name, line)
-        phase = None if self.phase is None else frozen_array(self.phase, float)
-        if phase is not None and phase.shape != (n, n):
-            raise ValidationError("joint amplitude phase must be a square 2D grid over q_signal")
         object.__setattr__(self, "q_signal", q)
-        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "pump_magnitude", frozen_array(np.abs(self.pump_sums), float))
 
     @property
@@ -174,18 +166,19 @@ class JointAmplitude:
         return block_sinc, float(np.max(magnitude))
 
     @property
-    def base_values(self) -> np.ndarray:
-        """The phase-stripped grid, filled a block of rows at a time."""
+    def phase(self) -> np.ndarray | None:
+        """The generation phase L_z A / 2 in rad on the whole grid, if kept."""
+        if not self.include_phase:
+            return None
         n = self.q_signal.size
-        rows = max(1, _FILL_CELLS // n)
-        buffers = _buffers(_row_layout(rows, n))
-        grid = np.empty((n, n), dtype=complex)
-        peak = 0.0
-        for start in range(0, n, rows):
-            block, block_peak = self.sinc_rows(start, buffers)
-            np.multiply(_hankel(self.pump_sums[start:], n, block.shape[0]), block,
-                        out=grid[start:start + block.shape[0]])
-            peak = max(peak, block_peak)
+        return self.signal_term[:, None] + self.idler_term + _hankel(self.pair_term, n)
+
+    @property
+    def base_values(self) -> np.ndarray:
+        """The phase-stripped grid: the pump times all N ``sinc_rows`` at once."""
+        n = self.q_signal.size
+        block, peak = self.sinc_rows(0, _buffers(_row_layout(n, n)))
+        grid = np.multiply(_hankel(self.pump_sums, n), block)
         # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
         grid.view(float)[...] /= _nonzero_peak(peak)
         return grid
@@ -246,12 +239,12 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     through a Hankel view. The sinc argument L A / 2 is likewise kept as 1D
     terms, a signal term plus an idler term plus a pair-sum term read through
     the same Hankel view (``paraxial_mismatch_terms``). No N x N grid is
-    filled here but the kept phase. The spectral envelope is one scalar,
-    which the unit-peak normalization cancels, so it only decides whether the
-    amplitude is identically zero, as an all-zero pump does; a grid on which
-    the pump and the sinc never overlap is rejected when it is read. The
-    kept phase comes from ``delta_kz_paraxial`` itself and equals the
-    whole-grid formula bit for bit.
+    filled here. The spectral envelope is one scalar, which the unit-peak
+    normalization cancels, so it only decides whether the amplitude is
+    identically zero, as an all-zero pump does; a grid on which the pump and
+    the sinc never overlap is rejected when it is read. ``include_phase``
+    marks the amplitude as carrying the generation phase, the sinc argument,
+    which ``JointAmplitude.phase`` sums from the same three terms on request.
     """
     q = symmetric_q_grid(q_extent, samples)
     q_sum_max = 2.0 * float(np.max(np.abs(q)))
@@ -261,7 +254,6 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
             f"pump spectrum grid (|q| <= {pump_q_max:.6g} rad/m) cannot supply "
             f"q_s + q_i up to {q_sum_max:.6g} rad/m",
             required_q_extent=2.0 * q_sum_max)
-    n = q.size
     q_sum = _pair_sums(q)
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
     detuning = 0.0
@@ -274,25 +266,11 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     if spectral_envelope(freqs, pump) == 0.0 or not np.any(pump_sums):
         raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length
-    phase = None
-    if include_phase:
-        phase = np.empty((n, n))
-        rows = max(1, _FILL_CELLS // n)
-        for start in range(0, n, rows):
-            block_phase = delta_kz_paraxial(freqs, q[start:start + rows, None],
-                                            q[None, :], crystal, model,
-                                            paraxial_bound=paraxial_bound)
-            if detuning:
-                block_phase -= detuning
-            block_phase *= half_length
-            phase[start:start + rows] = block_phase
-        # Frozen in place: JointAmplitude keeps it uncopied.
-        phase.flags.writeable = False
     return JointAmplitude(q_signal=q, pump_sums=pump_sums,
                           signal_term=(constant - detuning + a_signal * q * q) * half_length,
                           idler_term=a_idler * q * q * half_length,
                           pair_term=-a_pump * q_sum * q_sum * half_length,
-                          freqs=freqs, crystal=crystal, phase=phase)
+                          freqs=freqs, crystal=crystal, include_phase=include_phase)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,9 @@ VACUUM_LIGHT_SPEED = 299_792_458.0  # m/s, exact SI definition
 
 AXES = ("x", "y", "z")
 
+# Most detector positions a scan may ask for: 100 times the presets' 101.
+MAX_SCAN_POSITIONS = 10_001
+
 
 def sinc(x, out=None, zeros=None):
     """Unnormalized sinc, sin(x)/x, with sinc(0) = 1.
@@ -172,7 +175,8 @@ class DetectionGeometry:
 
     distance is crystal-to-detection-plane in metres. scan_range is the total
     scan extent centred on the axis; positions run over +-scan_range/2 in
-    scan_step increments, so the step must divide the range.
+    scan_step increments, so the step must divide the range, into at most
+    MAX_SCAN_POSITIONS positions.
     """
 
     distance: float
@@ -193,6 +197,9 @@ class DetectionGeometry:
         _require(math.isfinite(ratio),
                  f"scan step {self.scan_step!r} is too small for scan range {self.scan_range!r}")
         steps = round(ratio)
+        _require(steps + 1 <= MAX_SCAN_POSITIONS,
+                 f"scan step {self.scan_step!r} m over scan range {self.scan_range!r} m "
+                 f"gives {steps + 1:.6g} positions; at most {MAX_SCAN_POSITIONS} are allowed")
         _require(abs(steps * self.scan_step - self.scan_range) <= 1e-9 * self.scan_range,
                  f"scan step {self.scan_step!r} m does not divide scan range "
                  f"{self.scan_range!r} m; nearest valid step is {self.scan_range / steps!r} m")

@@ -115,25 +115,6 @@ class ConstantIndexModel(IndexModel):
         return self.value
 
 
-class CallableIndexModel(IndexModel):
-    """Wraps an arbitrary n(wavelength, axis, temperature_c) callable.
-
-    Used for analytic test models (e.g. linear dispersion) without writing a
-    class each time.
-    """
-
-    def __init__(self, fn, window: tuple[float, float], model_id: str = "callable"):
-        self._fn = fn
-        self._window = window
-        self.model_id = model_id
-
-    def window(self, axis: str) -> tuple[float, float]:
-        return self._window
-
-    def _evaluate(self, wavelength: float, axis: str, temperature_c: float) -> float:
-        return float(self._fn(wavelength, axis, temperature_c))
-
-
 class TabulatedIndexModel(IndexModel):
     """Linear interpolation of tabulated (wavelength, axis, index) records.
 

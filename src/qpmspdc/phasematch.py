@@ -16,7 +16,6 @@ cross term nearly cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,35 +27,14 @@ from .errors import ParaxialityError, PhaseMatchingError, ValidationError
 CONVENTIONS = ("external", "internal")
 
 
-@dataclass(frozen=True)
-class QpmGrating:
-    """Periodic sign-reversal grating: period, duty cycle, QPM order."""
-
-    poling_period: float
-    duty_cycle: float
-    order: int
-
-    def __post_init__(self) -> None:
-        if not self.poling_period > 0:
-            raise ValidationError(f"poling period must be positive, got {self.poling_period!r}")
-        if not 0.0 < self.duty_cycle < 1.0:
-            raise ValidationError(f"duty cycle must lie in (0, 1), got {self.duty_cycle!r}")
-        if not (isinstance(self.order, int) and self.order >= 1):
-            raise ValidationError(f"QPM order must be an integer >= 1, got {self.order!r}")
-
-    @classmethod
-    def from_crystal(cls, crystal: CrystalSpec) -> "QpmGrating":
-        return cls(crystal.poling_period, crystal.duty_cycle, crystal.qpm_order)
-
-
-def grating_vector(grating: QpmGrating) -> float:
+def grating_vector(crystal: CrystalSpec) -> float:
     """Grating wavevector 2*pi*m/Lambda in rad/m."""
-    return 2.0 * math.pi * grating.order / grating.poling_period
+    return 2.0 * math.pi * crystal.qpm_order / crystal.poling_period
 
 
-def fourier_coefficient(grating: QpmGrating) -> float:
+def fourier_coefficient(crystal: CrystalSpec) -> float:
     """Fourier coefficient sinc(m*pi*D) of the selected grating order."""
-    return float(sinc(grating.order * math.pi * grating.duty_cycle))
+    return float(sinc(crystal.qpm_order * math.pi * crystal.duty_cycle))
 
 
 def _field_indices(freqs: FrequencyPair, pump_axis: str, signal_axis: str,
@@ -95,7 +73,7 @@ def _collinear_mismatch(freqs: FrequencyPair, crystal: CrystalSpec,
     """
     return (_collinear_density(freqs, crystal.pump_axis, crystal.signal_axis,
                                crystal.idler_axis, crystal.temperature_c, model)
-            - grating_vector(QpmGrating.from_crystal(crystal)))
+            - grating_vector(crystal))
 
 
 def _paraxial_check(q, k: float, bound: float) -> None:
@@ -271,52 +249,3 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
                            model, convention=convention)
     return float(1.0 - np.min(eff))
 
-
-def bisect_root(fn, lo: float, hi: float, *, rel_tol: float = 1e-10,
-                max_iter: int = 200) -> float:
-    """Robust bisection for a sign change of fn on [lo, hi]."""
-    f_lo = fn(lo)
-    f_hi = fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValidationError(f"no sign change on bracket [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_hi > 0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= rel_tol * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def first_maker_zero(freqs: FrequencyPair, crystal: CrystalSpec,
-                     model: IndexModel, *, convention: str = "external") -> float:
-    """Smallest positive emission angle where the Maker profile vanishes.
-
-    Solves L_z A(alpha)/2 = pi by bracket expansion plus bisection; A is
-    smooth and monotone across the central lobe so bisection is unconditionally
-    safe.
-    """
-    def gap(alpha: float) -> float:
-        a_val = mismatch_a(alpha, alpha, freqs, crystal, model, 0.0,
-                           convention=convention)
-        return crystal.length * a_val / 2.0 - math.pi
-
-    lo = 0.0
-    hi = 1e-5
-    for _ in range(60):
-        if gap(hi) > 0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise PhaseMatchingError("no Maker zero found inside the paraxial regime")
-    return bisect_root(gap, lo, hi)

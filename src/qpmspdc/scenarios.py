@@ -22,7 +22,7 @@ from .dispersion import IndexModel
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (QpmGrating, _crystal_indices, design_poling_period,
+from .phasematch import (_crystal_indices, design_poling_period,
                          delta_kz_paraxial, fourier_coefficient,
                          maker_efficiency, paraxial_coefficients)
 
@@ -177,7 +177,7 @@ def maker_curve(config: ScenarioConfig, *, alpha_max: float,
                            paraxial_bound=config.numerics.paraxial_bound)
     eff = np.asarray(eff, dtype=float)
     if not config.numerics.normalize:
-        eff = eff * fourier_coefficient(QpmGrating.from_crystal(config.crystal)) ** 2
+        eff = eff * fourier_coefficient(config.crystal) ** 2
     return alphas, eff
 
 

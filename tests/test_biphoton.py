@@ -370,6 +370,14 @@ class TestScans:
         assert make.call_count == 1
 
 
+def detuned_817(preset1, include_phase):
+    """paper-config-1's joint amplitude for a detuned pair on an odd 817-row grid."""
+    freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
+    return build_joint_amplitude(pump_spectrum(preset1), PUMP, preset1.crystal, freqs,
+                                 index_model_for(preset1), q_extent=2.5e5, samples=817,
+                                 include_phase=include_phase)
+
+
 _ORACLE_CASES = ("paper-config-1", "paper-config-2", "odd-joint-samples",
                  "zero-slit-width", "non-degenerate", "explicit-q-extent")
 
@@ -449,34 +457,40 @@ class TestOracleReference:
 
 
     def test_blocked_fill_matches_whole_grid(self, preset1):
-        # 817 rows fill in blocks of 320, the last one partial; the detuning
-        # exercises the group-index term.
-        freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
+        # An odd 817-row grid; the detuning exercises the group-index term.
+        amplitude = detuned_817(preset1, include_phase=True)
         crystal, model = preset1.crystal, index_model_for(preset1)
-        spectrum = pump_spectrum(preset1)
-        amplitude = build_joint_amplitude(spectrum, PUMP, crystal, freqs, model,
-                                          q_extent=2.5e5, samples=817)
+        freqs = amplitude.freqs
         q = amplitude.q_signal
         n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
                           crystal.pump_axis, crystal.temperature_c)
         phase = delta_kz_paraxial(freqs, q[:, None], q[None, :], crystal, model)
         phase -= n_g * freqs.delta_omega / C
         phase *= 0.5 * crystal.length
-        base = (sample_pump_spectrum(spectrum, q[:, None] + q[None, :]) * sinc(phase)
-                * spectral_envelope(freqs, PUMP))
+        base = (sample_pump_spectrum(pump_spectrum(preset1), q[:, None] + q[None, :])
+                * sinc(phase) * spectral_envelope(freqs, PUMP))
         base /= np.max(np.abs(base))
-        assert np.array_equal(amplitude.phase, phase)
+        # The kept phase is summed from the sinc's 1D terms, not by the
+        # whole-grid formula: equal to rounding (4.9e-15 rad measured).
+        assert np.max(np.abs(amplitude.phase - phase)) <= 1e-13
         assert np.max(np.abs(amplitude.base_values - base)) <= 1e-12
 
+    def test_kept_phase_is_the_sinc_argument(self, preset1):
+        amplitude = detuned_817(preset1, include_phase=True)
+        n = amplitude.q_signal.size
+        phase = amplitude.phase
+        profile = sinc(phase)
+        peak = np.max(np.abs(profile) * _hankel(np.abs(amplitude.pump_sums), n))
+        base = _hankel(amplitude.pump_sums, n) * profile
+        base.view(float)[...] /= peak
+        assert np.array_equal(amplitude.base_values, base)
+        assert np.array_equal(amplitude.values, np.exp(1j * phase) * base)
+        assert detuned_817(preset1, include_phase=False).phase is None
 
     def test_transposed_rows_match_columns(self, preset1):
         # The idler-only stream reads the grid's columns as transposed rows:
-        # odd grid, partial last block, detuned pair as in the blocked fill.
-        freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
-        amplitude = build_joint_amplitude(pump_spectrum(preset1), PUMP, preset1.crystal,
-                                          freqs, index_model_for(preset1),
-                                          q_extent=2.5e5, samples=817,
-                                          include_phase=False)
+        # odd grid, partial last block, detuned pair.
+        amplitude = detuned_817(preset1, include_phase=False)
         n = amplitude.q_signal.size
         buffers = [np.empty(shape, dtype) for shape, dtype in _row_layout(300, n)]
         grids, peaks = [], []

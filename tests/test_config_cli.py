@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr
 from unittest import mock
 
@@ -433,6 +434,25 @@ class TestExitCodeContract:
                                "--out", str(tmp_path / "scan.csv"))
         assert code == 2
         assert "nearest valid step is 2.98507" in err
+
+    @pytest.mark.parametrize("step,count", [("1e-300", "2e+300"), ("1e-7", "2e+07")])
+    def test_too_many_scan_positions_exits_2(self, tmp_path, capsys, step, count):
+        # Both steps divide the 2 mm range; the position count is refused at
+        # load time, before a scan array (160 MB at 2e7 positions) exists.
+        config = tmp_path / "step.ini"
+        config.write_text(MINIMAL.replace("scan_step_mm = 0.02", f"scan_step_mm = {step}"),
+                          encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
+                                   "--out", str(tmp_path / "scan.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"gives {count} positions; at most 10001 are allowed" in err
+        assert peak < 16 * 2**20
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_analytic_scan_off_pump_grid_exits_3(self, tmp_path, capsys):
         # A 30 mm scan at 500 mm reads the detection-plane profile beyond the

@@ -109,6 +109,11 @@ class TestCrystalSpec:
         with pytest.raises(ValidationError):
             _crystal(length=value)
 
+    @given(st.floats(max_value=0.0, allow_nan=False))
+    def test_rejects_nonpositive_poling_period(self, value):
+        with pytest.raises(ValidationError):
+            _crystal(poling_period=value)
+
     @given(st.one_of(st.floats(max_value=0.0, allow_nan=False),
                      st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)))
     def test_rejects_duty_cycle_outside_open_interval(self, value):
@@ -189,6 +194,12 @@ class TestDetectionGeometry:
         with pytest.raises(ValidationError, match="nearest valid step is 2.98507"):
             _geometry(scan_range=2e-3, scan_step=3e-5)
         assert _geometry(scan_range=2e-3, scan_step=2e-3 / 67).scan_step == 2e-3 / 67
+
+    def test_position_count_capped(self):
+        assert _geometry(scan_range=2e-3, scan_step=2e-7).scan_step == 2e-7
+        with pytest.raises(ValidationError, match="gives 20001 positions; at most 10001"):
+            _geometry(scan_range=2e-3, scan_step=1e-7)
+
 
 
 class TestFrequencyPair:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpmspdc.dispersion import (CallableIndexModel, ConstantIndexModel,
+from qpmspdc.dispersion import (ConstantIndexModel, IndexModel,
                                 TabulatedIndexModel, group_index)
 from qpmspdc.errors import ValidationError, WavelengthWindowError
 from qpmspdc.phasematch import design_poling_period
@@ -64,8 +64,15 @@ class TestGroupIndex:
 
     def test_linear_model_recovers_intercept(self):
         a, b = 1.6, 2.0e4  # n = a + b * lambda
-        model = CallableIndexModel(lambda w, ax, t: a + b * w,
-                                   window=(1e-7, 1e-5), model_id="linear")
+
+        class LinearIndexModel(IndexModel):
+            def window(self, axis):
+                return (1e-7, 1e-5)
+
+            def _evaluate(self, wavelength, axis, temperature_c):
+                return a + b * wavelength
+
+        model = LinearIndexModel()
         assert group_index(model, 826e-9, "z", 25.0) == pytest.approx(a, rel=1e-10)
 
     def test_ktp_normal_dispersion(self, ktp):

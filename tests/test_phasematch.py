@@ -8,9 +8,8 @@ from qpmspdc.core import (CrystalSpec, FrequencyPair, VACUUM_LIGHT_SPEED,
 from qpmspdc.dispersion import ConstantIndexModel, group_index
 from qpmspdc.errors import (ParaxialityError, PhaseMatchingError,
                             ValidationError)
-from qpmspdc.phasematch import (QpmGrating, delta_kz_paraxial,
-                                design_poling_period, detector_angle,
-                                efficiency_drop_over_scan, first_maker_zero,
+from qpmspdc.phasematch import (delta_kz_paraxial, design_poling_period,
+                                detector_angle, efficiency_drop_over_scan,
                                 fourier_coefficient, grating_vector,
                                 maker_efficiency, mismatch_a)
 
@@ -40,41 +39,51 @@ def designed_crystal(ktp):
                        signal_axis="y", idler_axis="z", type_ii=True)
 
 
+def grating(poling_period, duty_cycle, order):
+    return CrystalSpec(length=1e-3, poling_period=poling_period, duty_cycle=duty_cycle,
+                       qpm_order=order, temperature_c=25.0)
+
+
+def first_maker_zero(freqs, crystal, model, convention="external"):
+    """Smallest positive emission angle where the Maker profile vanishes, closed form.
+
+    On the symmetric cone A(alpha) = A0 + K sin^2(alpha) exactly (both q scale
+    with sin(alpha)), so L A / 2 = pi at sin^2(alpha0) = (2 pi / L - A0) / K.
+    """
+    a0 = mismatch_a(0.0, 0.0, freqs, crystal, model, convention=convention)
+    alpha = 1e-3
+    k = (mismatch_a(alpha, alpha, freqs, crystal, model, convention=convention)
+         - a0) / math.sin(alpha) ** 2
+    return math.asin(math.sqrt((2.0 * math.pi / crystal.length - a0) / k))
+
+
 class TestGrating:
     def test_reference_grating_vector(self):
-        grating = QpmGrating(poling_period=11.4617e-6, duty_cycle=0.5, order=1)
-        assert grating_vector(grating) == pytest.approx(
+        crystal = grating(poling_period=11.4617e-6, duty_cycle=0.5, order=1)
+        assert grating_vector(crystal) == pytest.approx(
             2.0 * math.pi / 11.4617e-6, rel=1e-14)
-        assert grating_vector(grating) == pytest.approx(5.4819e5, rel=1e-4)
+        assert grating_vector(crystal) == pytest.approx(5.4819e5, rel=1e-4)
 
     def test_order_doubles_vector(self):
-        base = QpmGrating(11.4617e-6, 0.5, 1)
-        doubled = QpmGrating(11.4617e-6, 0.5, 2)
+        base = grating(11.4617e-6, 0.5, 1)
+        doubled = grating(11.4617e-6, 0.5, 2)
         assert grating_vector(doubled) == pytest.approx(2 * grating_vector(base),
                                                         rel=1e-15)
 
     def test_two_pi_period_gives_unity(self):
-        assert grating_vector(QpmGrating(2.0 * math.pi, 0.5, 1)) == pytest.approx(
+        assert grating_vector(grating(2.0 * math.pi, 0.5, 1)) == pytest.approx(
             1.0, rel=1e-15)
 
     def test_fourier_coefficient_half_duty(self):
-        assert fourier_coefficient(QpmGrating(1e-5, 0.5, 1)) == pytest.approx(
+        assert fourier_coefficient(grating(1e-5, 0.5, 1)) == pytest.approx(
             2.0 / math.pi, rel=1e-14)
 
     def test_fourier_coefficient_second_order_vanishes(self):
-        assert abs(fourier_coefficient(QpmGrating(1e-5, 0.5, 2))) < 1e-15
+        assert abs(fourier_coefficient(grating(1e-5, 0.5, 2))) < 1e-15
 
     def test_fourier_coefficient_thin_domain_limit(self):
-        assert fourier_coefficient(QpmGrating(1e-5, 1e-9, 1)) == pytest.approx(
+        assert fourier_coefficient(grating(1e-5, 1e-9, 1)) == pytest.approx(
             1.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            QpmGrating(-1e-6, 0.5, 1)
-        with pytest.raises(ValidationError):
-            QpmGrating(1e-6, 1.0, 1)
-        with pytest.raises(ValidationError):
-            QpmGrating(1e-6, 0.5, 0)
 
 
 class TestDeltaKz:
