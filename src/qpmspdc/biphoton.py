@@ -55,12 +55,13 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import (CrystalSpec, DetectionGeometry, FrequencyPair, PumpSpec,
-                   frozen_array, sinc, vacuum_wavelength)
-from .dispersion import IndexModel, group_index
+                   frozen_array, sinc)
+from .dispersion import IndexModel
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
 from .fields import AngularSpectrum, SampledField, _centered_grid
-from .phasematch import efficiency_drop_over_scan, paraxial_mismatch_terms
+from .phasematch import (detuning_term, efficiency_drop_over_scan,
+                         paraxial_mismatch_terms)
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
 
@@ -68,6 +69,14 @@ SCAN_MODES = ("both-together", "signal-only", "idler-only")
 # MB; the both-together shear array is 128 x (N + 127) instead of
 # N x (2N - 1), mostly zeros.
 _STREAM_ROWS = 128
+
+# Midpoint-rule samples across a detector slit of nonzero width.
+_SLIT_SAMPLES = 8
+
+# QPM efficiency drops across an analytic scan above which it warns: a
+# notice, then a regime violation of the pump-transfer law.
+_NOTICE_DROP = 0.01
+_REGIME_DROP = 0.05
 
 
 def spectral_envelope(freqs: FrequencyPair, pump: PumpSpec) -> float:
@@ -256,11 +265,7 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
             required_q_extent=2.0 * q_sum_max)
     q_sum = _pair_sums(q)
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
-    detuning = 0.0
-    if freqs.delta_omega != 0.0:
-        n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
-                          crystal.pump_axis, crystal.temperature_c)
-        detuning = n_g * freqs.delta_omega / C
+    detuning = detuning_term(freqs, crystal, model)
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
         freqs, q, crystal, model, paraxial_bound=paraxial_bound)
     if spectral_envelope(freqs, pump) == 0.0 or not np.any(pump_sums):
@@ -315,12 +320,11 @@ def scan_positions(geometry: DetectionGeometry) -> np.ndarray:
                        steps + 1)
 
 
-def _slit_offsets(slit_width: float, samples: int) -> np.ndarray:
+def _slit_offsets(slit_width: float) -> np.ndarray:
     """Midpoint-rule sample offsets across one detector slit."""
     if slit_width == 0.0:
         return np.zeros(1)
-    m = max(int(samples), 8)
-    return ((np.arange(m) + 0.5) / m - 0.5) * slit_width
+    return ((np.arange(_SLIT_SAMPLES) + 0.5) / _SLIT_SAMPLES - 0.5) * slit_width
 
 
 def _mean_position_map(mode: str, positions: np.ndarray) -> np.ndarray:
@@ -355,31 +359,30 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
                               mode: str, *, crystal: CrystalSpec,
                               model: IndexModel, freqs: FrequencyPair,
                               convention: str = "external",
-                              warn_threshold: float = 0.01,
-                              regime_threshold: float = 0.05,
-                              slit_samples: int = 8) -> ScanResult:
+                              paraxial_bound: float = 0.2) -> ScanResult:
     """Transfer-law scan: |W(R)|^2 sampled from the detection-plane pump profile.
 
     Valid in the nearly collinear regime; the QPM efficiency drop across the
-    scan is evaluated and attached as a warning above warn_threshold, with a
-    stronger regime warning above regime_threshold. The curve is averaged
+    scan, under the paraxial bound, is evaluated and attached as a warning
+    above 1%, with a stronger regime warning above 5%. The curve is averaged
     over the detector slit (midpoint rule).
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
     drop = efficiency_drop_over_scan(geometry.scan_range, geometry.distance,
-                                     freqs, crystal, model, convention=convention)
+                                     freqs, crystal, model, convention=convention,
+                                     paraxial_bound=paraxial_bound)
     warnings: list[str] = []
-    if drop > regime_threshold:
+    if drop > _REGIME_DROP:
         warnings.append(
             f"regime violation: QPM efficiency varies by {drop:.1%} across the scan "
-            f"(threshold {regime_threshold:.1%}); the pump-transfer law is unreliable here")
-    elif drop > warn_threshold:
+            f"(threshold {_REGIME_DROP:.1%}); the pump-transfer law is unreliable here")
+    elif drop > _NOTICE_DROP:
         warnings.append(
             f"QPM efficiency varies by {drop:.1%} across the scan "
-            f"(notice level {warn_threshold:.1%})")
+            f"(notice level {_NOTICE_DROP:.1%})")
     positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width, slit_samples)
+    offsets = _slit_offsets(geometry.slit_width)
     sample_points = _mean_position_map(mode, positions[:, None] + offsets[None, :])
     x = profile.x
     if sample_points.min() < x[0] or sample_points.max() > x[-1]:
@@ -521,8 +524,7 @@ def _both_scanned(amplitude: JointAmplitude, positions: np.ndarray,
 
 
 def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeometry,
-                            mode: str, *, slit_samples: int = 8,
-                            warnings: tuple[str, ...] = ()) -> ScanResult:
+                            mode: str, *, warnings: tuple[str, ...] = ()) -> ScanResult:
     """Scan from the joint amplitude by per-photon Fresnel transport to z_D.
 
     The coincidence amplitude at detector pair (p_s, p_i) is the double sum
@@ -539,7 +541,7 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
     k_idler = freqs.omega_idler / C
     z = geometry.distance
     positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width, slit_samples)
+    offsets = _slit_offsets(geometry.slit_width)
     q = amplitude.q_signal
     dq = float(q[1] - q[0])
     q_max = float(np.max(np.abs(q)))

@@ -4,7 +4,8 @@ Format: ``[section]`` headers followed by ``key = value`` lines; full-line
 ``#`` comments and blank lines are ignored. Parsing is strict: unknown
 sections or keys, duplicates, and missing required keys are all errors.
 Keys carry their unit as a suffix (``wavelength_nm``); values are converted
-to SI exactly once, here.
+to SI exactly once, here. Each section's keys are described once, in a
+table that parsing, defaults and serialization all read.
 
 The crystal's ``poling_period_um`` accepts the literal token ``design``,
 which resolves to the collinear degenerate design value under the configured
@@ -14,9 +15,10 @@ emits, so a round trip through text reproduces the validated configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property, partial
 from importlib import resources
+from typing import Any, Callable, NamedTuple
 
 from .core import CrystalSpec, DetectionGeometry, PumpSpec
 from .dispersion import (ConstantIndexModel, IndexModel, KtpIndexModel,
@@ -26,12 +28,6 @@ from .fields import MultiSlitAperture, OpticalElement, ThinLens
 from .phasematch import CONVENTIONS, design_poling_period
 
 PRESET_NAMES = ("paper-config-1", "paper-config-2")
-
-# Exact power-of-ten divisors (all are exactly representable doubles).
-_MM = 1e3
-_UM = 1e6
-_NM = 1e9
-_FS = 1e15
 
 
 def _exact_unit_value(si_value: float, divisor: float) -> float:
@@ -58,8 +54,35 @@ def _exact_unit_value(si_value: float, divisor: float) -> float:
     return y0
 
 
-def _exact_repr(si_value: float, divisor: float) -> str:
-    return repr(_exact_unit_value(si_value, divisor))
+class _Kind(NamedTuple):
+    """How a key's value is read from text and written back."""
+
+    expected: str  # completes "<key> must be ..." when ``parse`` fails
+    parse: Callable[[str], Any]  # raises ValueError on a bad value
+    format: Callable[[Any], str] = str
+
+
+def _unit(divisor: float) -> _Kind:
+    """A number in the key's unit, held in SI units as the text value / divisor."""
+    return _Kind("a number", lambda raw: float(raw) / divisor,
+                 lambda value: repr(_exact_unit_value(value, divisor)))
+
+
+def _choice(*options: str) -> _Kind:
+    # tuple.index raises ValueError for a word that is not an option.
+    return _Kind(f"one of {options}", lambda raw: options[options.index(raw)])
+
+
+# Exact power-of-ten divisors (all are exactly representable doubles).
+_MM = _unit(1e3)
+_UM = _unit(1e6)
+_NM = _unit(1e9)
+_FS = _unit(1e15)
+_NUMBER = _Kind("a number", float, repr)
+_INTEGER = _Kind("an integer", int)
+_TEXT = _Kind("text", str)
+_BOOLEAN = _Kind("'true' or 'false'", lambda raw: _choice("true", "false").parse(raw) == "true",
+                 lambda value: "true" if value else "false")
 
 
 @dataclass(frozen=True)
@@ -117,6 +140,79 @@ class ScenarioConfig:
     numerics: NumericsConfig = NumericsConfig()
 
 
+class _Key(NamedTuple):
+    """A key's name, the field it fills, its kind, and its default (``MISSING``: required)."""
+
+    name: str
+    field: str
+    kind: _Kind
+    default: Any = MISSING
+
+    def text(self, value) -> str:
+        return f"{self.name} = {self.kind.format(value)}"
+
+
+def _keys(target, *specs) -> tuple[_Key, ...]:
+    """Keys from (name, field, kind[, default]); a key without a default takes its field's."""
+    defaults = {f.name: f.default for f in fields(target)}
+    return tuple(_Key(name, field, kind, own[0] if own else defaults[field])
+                 for name, field, kind, *own in specs)
+
+
+def _lines(source, keys) -> list[str]:
+    return [key.text(getattr(source, key.field)) for key in keys]
+
+
+_CRYSTAL = _keys(CrystalSpec,
+                 ("length_mm", "length", _MM),
+                 ("duty_cycle", "duty_cycle", _NUMBER, 0.5),
+                 ("qpm_order", "qpm_order", _INTEGER, 1),
+                 ("temperature_c", "temperature_c", _NUMBER),
+                 ("pump_axis", "pump_axis", _TEXT),
+                 ("signal_axis", "signal_axis", _TEXT),
+                 ("idler_axis", "idler_axis", _TEXT),
+                 ("type_ii", "type_ii", _BOOLEAN))
+# Written second and read last, since the 'design' token needs the other keys.
+_POLING = _Key("poling_period_um", "poling_period", _Kind(
+    "a number or 'design'", lambda raw: raw if raw == "design" else _UM.parse(raw),
+    _UM.format))
+*_PUMP, _PULSE = _keys(PumpSpec,
+                       ("wavelength_nm", "center_wavelength", _NM),
+                       ("waist_mm", "waist_radius", _MM),
+                       ("waist_position_mm", "waist_position", _MM),
+                       ("pulse_fs", "pulse_duration", _FS))
+_CW = _Key("cw", "is_cw", _BOOLEAN, False)
+_DETECTION = _keys(DetectionGeometry,
+                   ("distance_mm", "distance", _MM),
+                   ("slit_width_mm", "slit_width", _MM),
+                   ("scan_range_mm", "scan_range", _MM),
+                   ("scan_step_mm", "scan_step", _MM))
+_ELEMENTS = {
+    "lens": (ThinLens, _keys(ThinLens, ("focal_length_mm", "focal_length", _MM))),
+    # The file format defaults to two slits, the class to one.
+    "multi_slit": (MultiSlitAperture, _keys(MultiSlitAperture,
+                                            ("slit_width_um", "slit_width", _UM),
+                                            ("separation_um", "center_separation", _UM),
+                                            ("slit_count", "slit_count", _INTEGER, 2))),
+}
+_TYPE = _Key("type", "type", _choice(*_ELEMENTS))
+_POSITION = _Key("position_mm", "position", _MM)
+# Keys that only the named dispersion model takes, and requires.
+_MODEL_KEYS = {
+    "constant": (_Key("constant_index", "constant_index", _NUMBER),),
+    "table": (_Key("table_path", "table_path", _TEXT),),
+}
+(_MODEL,) = _keys(DispersionConfig, ("model", "kind", _choice("ktp", *_MODEL_KEYS)))
+_NUMERICS = _keys(NumericsConfig,
+                  ("grid_samples", "grid_samples", _INTEGER),
+                  ("grid_extent_mm", "grid_extent", _MM),
+                  ("joint_grid_samples", "joint_grid_samples", _INTEGER),
+                  ("joint_q_extent", "joint_q_extent", _NUMBER),
+                  ("angle_convention", "angle_convention", _choice(*CONVENTIONS)),
+                  ("paraxial_bound", "paraxial_bound", _NUMBER),
+                  ("normalize", "normalize", _BOOLEAN))
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
@@ -150,61 +246,33 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 class _Section:
-    """One parsed section with strict typed extraction."""
+    """One parsed section; the keys never read are unknown ones."""
 
-    def __init__(self, name: str, data: dict[str, str]):
+    def __init__(self, sections: dict[str, dict[str, str]], name: str):
         self.name = name
-        self._data = dict(data)
+        self._data = sections.get(name, {})
         self._seen: set[str] = set()
 
-    def _take(self, key: str) -> str | None:
-        self._seen.add(key)
-        return self._data.get(key)
+    def __contains__(self, key: _Key) -> bool:
+        return key.name in self._data
 
-    def string(self, key: str, default: str | None = None, choices=None) -> str:
-        raw = self._take(key)
+    def get(self, key: _Key):
+        """The key's value, or its default when absent; strict about its kind."""
+        self._seen.add(key.name)
+        raw = self._data.get(key.name)
         if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            raw = default
-        if choices is not None and raw not in choices:
-            raise ConfigError(f"[{self.name}] {key} must be one of {choices}, got {raw!r}")
-        return raw
-
-    def number(self, key: str, default: float | None = None) -> float:
-        raw = self._take(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
+            if key.default is MISSING:
+                raise ConfigError(f"[{self.name}] missing required key {key.name!r}")
+            return key.default
         try:
-            return float(raw)
+            return key.kind.parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key} must be a number, got {raw!r}") from exc
+            raise ConfigError(
+                f"[{self.name}] {key.name} must be {key.kind.expected}, got {raw!r}") from exc
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        raw = self._take(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key} must be an integer, got {raw!r}") from exc
-
-    def boolean(self, key: str, default: bool | None = None) -> bool:
-        raw = self._take(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return default
-        if raw not in ("true", "false"):
-            raise ConfigError(f"[{self.name}] {key} must be 'true' or 'false', got {raw!r}")
-        return raw == "true"
-
-    def raw(self, key: str) -> str | None:
-        return self._take(key)
+    def read(self, keys) -> dict:
+        """Field name -> value of each key, read in order."""
+        return {key.field: self.get(key) for key in keys}
 
     def reject_unknown(self) -> None:
         unknown = set(self._data) - self._seen
@@ -215,110 +283,44 @@ class _Section:
 
 def _parse_crystal(section: _Section, dispersion: DispersionConfig,
                    pump_wavelength: float) -> CrystalSpec:
-    length = section.number("length_mm") / _MM
-    duty_cycle = section.number("duty_cycle", 0.5)
-    qpm_order = section.integer("qpm_order", 1)
-    temperature_c = section.number("temperature_c")
-    pump_axis = section.string("pump_axis", "y")
-    signal_axis = section.string("signal_axis", "y")
-    idler_axis = section.string("idler_axis", "z")
-    type_ii = section.boolean("type_ii", False)
-    poling_raw = section.raw("poling_period_um")
-    if poling_raw is None:
-        raise ConfigError("[crystal] missing required key 'poling_period_um'")
-    if poling_raw == "design":
+    values = section.read(_CRYSTAL)
+    values["poling_period"] = section.get(_POLING)
+    if values["poling_period"] == "design":
         degenerate = 2.0 * pump_wavelength
-        poling_period = design_poling_period(
+        values["poling_period"] = design_poling_period(
             pump_wavelength, degenerate, degenerate,
-            pump_axis=pump_axis, signal_axis=signal_axis, idler_axis=idler_axis,
-            temperature_c=temperature_c, qpm_order=qpm_order,
-            model=dispersion.model)
-    else:
-        try:
-            poling_period = float(poling_raw) / _UM
-        except ValueError as exc:
-            raise ConfigError(
-                f"[crystal] poling_period_um must be a number or 'design', got {poling_raw!r}"
-            ) from exc
+            pump_axis=values["pump_axis"], signal_axis=values["signal_axis"],
+            idler_axis=values["idler_axis"], temperature_c=values["temperature_c"],
+            qpm_order=values["qpm_order"], model=dispersion.model)
     section.reject_unknown()
-    return CrystalSpec(
-        length=length, poling_period=poling_period, duty_cycle=duty_cycle,
-        qpm_order=qpm_order, temperature_c=temperature_c, pump_axis=pump_axis,
-        signal_axis=signal_axis, idler_axis=idler_axis, type_ii=type_ii)
+    return CrystalSpec(**values)
 
 
 def _parse_pump(section: _Section) -> PumpSpec:
-    wavelength = section.number("wavelength_nm") / _NM
-    waist = section.number("waist_mm") / _MM
-    waist_position = section.number("waist_position_mm", 0.0) / _MM
-    pulse_raw = section.raw("pulse_fs")
-    cw = section.boolean("cw", False)
-    if (pulse_raw is None) == (not cw):
+    values = section.read(_PUMP)
+    if (_PULSE in section) == section.get(_CW):
         raise ConfigError("[pump] exactly one of 'pulse_fs' or 'cw = true' is required")
-    pulse = None
-    if pulse_raw is not None:
-        try:
-            pulse = float(pulse_raw) / _FS
-        except ValueError as exc:
-            raise ConfigError(f"[pump] pulse_fs must be a number, got {pulse_raw!r}") from exc
+    values["pulse_duration"] = section.get(_PULSE)
     section.reject_unknown()
-    return PumpSpec(center_wavelength=wavelength, waist_radius=waist,
-                    waist_position=waist_position, pulse_duration=pulse)
+    return PumpSpec(**values)
 
 
-def _parse_detection(section: _Section) -> DetectionGeometry:
-    geometry = DetectionGeometry(
-        distance=section.number("distance_mm") / _MM,
-        slit_width=section.number("slit_width_mm") / _MM,
-        scan_range=section.number("scan_range_mm") / _MM,
-        scan_step=section.number("scan_step_mm") / _MM,
-    )
+def _build(section: _Section, target, keys):
+    """``target`` built from the keys, once the section has no unknown key."""
+    value = target(**section.read(keys))
     section.reject_unknown()
-    return geometry
+    return value
 
 
 def _parse_element(section: _Section) -> tuple[float, OpticalElement]:
-    kind = section.string("type", choices=("lens", "multi_slit"))
-    position = section.number("position_mm") / _MM
-    if kind == "lens":
-        element: OpticalElement = ThinLens(
-            focal_length=section.number("focal_length_mm") / _MM)
-    else:
-        element = MultiSlitAperture(
-            slit_width=section.number("slit_width_um") / _UM,
-            center_separation=section.number("separation_um", 0.0) / _UM,
-            slit_count=section.integer("slit_count", 2),
-        )
-    section.reject_unknown()
-    return position, element
+    kind = section.get(_TYPE)
+    position = section.get(_POSITION)
+    return position, _build(section, *_ELEMENTS[kind])
 
 
 def _parse_dispersion(section: _Section) -> DispersionConfig:
-    kind = section.string("model", "ktp", choices=("ktp", "constant", "table"))
-    constant_index = None
-    table_path = None
-    if kind == "constant":
-        constant_index = section.number("constant_index")
-    if kind == "table":
-        table_path = section.string("table_path")
-    section.reject_unknown()
-    return DispersionConfig(kind=kind, constant_index=constant_index,
-                            table_path=table_path)
-
-
-def _parse_numerics(section: _Section) -> NumericsConfig:
-    numerics = NumericsConfig(
-        grid_samples=section.integer("grid_samples", 4096),
-        grid_extent=section.number("grid_extent_mm", 20.0) / _MM,
-        joint_grid_samples=section.integer("joint_grid_samples", 0),
-        joint_q_extent=section.number("joint_q_extent", 0.0),
-        angle_convention=section.string("angle_convention", "external",
-                                        choices=CONVENTIONS),
-        paraxial_bound=section.number("paraxial_bound", 0.2),
-        normalize=section.boolean("normalize", True),
-    )
-    section.reject_unknown()
-    return numerics
+    kind = section.get(_MODEL)
+    return _build(section, partial(DispersionConfig, kind=kind), _MODEL_KEYS.get(kind, ()))
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
@@ -333,108 +335,52 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 
 
 def _parse_scenario_sections(sections: dict[str, dict[str, str]]) -> ScenarioConfig:
-    known = {"crystal", "pump", "detection", "dispersion", "numerics"}
     element_names = []
     for name in sections:
-        if name in known:
-            continue
         if name.startswith("element."):
             suffix = name.split(".", 1)[1]
             if not suffix.isdigit() or int(suffix) < 1:
                 raise ConfigError(f"element sections are [element.N] with N >= 1, got [{name}]")
             element_names.append((int(suffix), name))
-            continue
-        raise ConfigError(f"unknown section [{name}]")
+        elif name not in ("crystal", "pump", "detection", "dispersion", "numerics"):
+            raise ConfigError(f"unknown section [{name}]")
     for required in ("crystal", "pump", "detection"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    dispersion = (_parse_dispersion(_Section("dispersion", sections["dispersion"]))
-                  if "dispersion" in sections else DispersionConfig())
-    numerics = (_parse_numerics(_Section("numerics", sections["numerics"]))
-                if "numerics" in sections else NumericsConfig())
-    pump = _parse_pump(_Section("pump", sections["pump"]))
-    crystal = _parse_crystal(_Section("crystal", sections["crystal"]), dispersion,
-                             pump.center_wavelength)
-    detection = _parse_detection(_Section("detection", sections["detection"]))
-    elements = []
-    for _, name in sorted(element_names):
-        elements.append(_parse_element(_Section(name, sections[name])))
-    return ScenarioConfig(crystal=crystal, pump=pump, elements=tuple(elements),
-                          detection=detection, dispersion=dispersion,
-                          numerics=numerics)
+    dispersion = _parse_dispersion(_Section(sections, "dispersion"))
+    numerics = _build(_Section(sections, "numerics"), NumericsConfig, _NUMERICS)
+    pump = _parse_pump(_Section(sections, "pump"))
+    crystal = _parse_crystal(_Section(sections, "crystal"), dispersion, pump.center_wavelength)
+    detection = _build(_Section(sections, "detection"), DetectionGeometry, _DETECTION)
+    elements = tuple(_parse_element(_Section(sections, name)) for _, name in sorted(element_names))
+    return ScenarioConfig(crystal=crystal, pump=pump, elements=elements,
+                          detection=detection, dispersion=dispersion, numerics=numerics)
+
+
+def _element_lines(position: float, element: OpticalElement) -> list[str]:
+    for kind, (target, keys) in _ELEMENTS.items():
+        if isinstance(element, target):
+            return [_TYPE.text(kind), _POSITION.text(position), *_lines(element, keys)]
+    raise ConfigError(f"cannot serialize element {element!r}")
 
 
 def scenario_to_text(config: ScenarioConfig) -> str:
     """Canonical serialization; parsing it back reproduces the configuration."""
-    c = config.crystal
-    p = config.pump
-    d = config.detection
-    n = config.numerics
-    lines = [
-        "[crystal]",
-        f"length_mm = {_exact_repr(c.length, _MM)}",
-        f"poling_period_um = {_exact_repr(c.poling_period, _UM)}",
-        f"duty_cycle = {c.duty_cycle!r}",
-        f"qpm_order = {c.qpm_order}",
-        f"temperature_c = {c.temperature_c!r}",
-        f"pump_axis = {c.pump_axis}",
-        f"signal_axis = {c.signal_axis}",
-        f"idler_axis = {c.idler_axis}",
-        f"type_ii = {'true' if c.type_ii else 'false'}",
-        "",
-        "[pump]",
-        f"wavelength_nm = {_exact_repr(p.center_wavelength, _NM)}",
-        f"waist_mm = {_exact_repr(p.waist_radius, _MM)}",
-        f"waist_position_mm = {_exact_repr(p.waist_position, _MM)}",
+    crystal = _lines(config.crystal, _CRYSTAL)
+    crystal.insert(1, _POLING.text(config.crystal.poling_period))
+    pump = config.pump
+    dispersion = config.dispersion
+    sections = [
+        ("crystal", crystal),
+        ("pump", _lines(pump, (*_PUMP, _CW if pump.is_cw else _PULSE))),
+        ("detection", _lines(config.detection, _DETECTION)),
+        *((f"element.{index}", _element_lines(position, element))
+          for index, (position, element) in enumerate(config.elements, start=1)),
+        ("dispersion", _lines(dispersion, (_MODEL, *_MODEL_KEYS.get(dispersion.kind, ())))),
+        ("numerics", _lines(config.numerics, _NUMERICS)),
     ]
-    if p.is_cw:
-        lines.append("cw = true")
-    else:
-        lines.append(f"pulse_fs = {_exact_repr(p.pulse_duration, _FS)}")
-    lines += [
-        "",
-        "[detection]",
-        f"distance_mm = {_exact_repr(d.distance, _MM)}",
-        f"slit_width_mm = {_exact_repr(d.slit_width, _MM)}",
-        f"scan_range_mm = {_exact_repr(d.scan_range, _MM)}",
-        f"scan_step_mm = {_exact_repr(d.scan_step, _MM)}",
-    ]
-    for index, (position, element) in enumerate(config.elements, start=1):
-        lines += ["", f"[element.{index}]"]
-        if isinstance(element, ThinLens):
-            lines += [
-                "type = lens",
-                f"position_mm = {_exact_repr(position, _MM)}",
-                f"focal_length_mm = {_exact_repr(element.focal_length, _MM)}",
-            ]
-        elif isinstance(element, MultiSlitAperture):
-            lines += [
-                "type = multi_slit",
-                f"position_mm = {_exact_repr(position, _MM)}",
-                f"slit_width_um = {_exact_repr(element.slit_width, _UM)}",
-                f"separation_um = {_exact_repr(element.center_separation, _UM)}",
-                f"slit_count = {element.slit_count}",
-            ]
-        else:
-            raise ConfigError(f"cannot serialize element {element!r}")
-    lines += ["", "[dispersion]", f"model = {config.dispersion.kind}"]
-    if config.dispersion.kind == "constant":
-        lines.append(f"constant_index = {config.dispersion.constant_index!r}")
-    if config.dispersion.kind == "table":
-        lines.append(f"table_path = {config.dispersion.table_path}")
-    lines += [
-        "",
-        "[numerics]",
-        f"grid_samples = {n.grid_samples}",
-        f"grid_extent_mm = {_exact_repr(n.grid_extent, _MM)}",
-        f"joint_grid_samples = {n.joint_grid_samples}",
-        f"joint_q_extent = {n.joint_q_extent!r}",
-        f"angle_convention = {n.angle_convention}",
-        f"paraxial_bound = {n.paraxial_bound!r}",
-        f"normalize = {'true' if n.normalize else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n\n".join("\n".join((f"[{name}]", *lines)) for name, lines in sections) + "\n"
 
 
 def load_scenario(source: str) -> ScenarioConfig:
@@ -442,10 +388,10 @@ def load_scenario(source: str) -> ScenarioConfig:
     if source in PRESET_NAMES:
         resource = source.replace("-", "_") + ".ini"
         text = resources.files("qpmspdc.presets").joinpath(resource).read_text("utf-8")
-        return parse_scenario_text(text)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
     return parse_scenario_text(text)

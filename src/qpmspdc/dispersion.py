@@ -101,15 +101,15 @@ class ConstantIndexModel(IndexModel):
     n = 1 is allowed so vacuum-like analytic checks work.
     """
 
-    def __init__(self, value: float, window: tuple[float, float] = (1e-9, 1.0)):
+    def __init__(self, value: float):
         if not (math.isfinite(value) and value >= 1.0):
             raise ValidationError(f"constant index must be >= 1, got {value!r}")
         self.value = float(value)
-        self._window = window
         self.model_id = f"constant-{value:g}"
 
     def window(self, axis: str) -> tuple[float, float]:
-        return self._window
+        """Every wavelength from 1 nm to 1 m."""
+        return (1e-9, 1.0)
 
     def _evaluate(self, wavelength: float, axis: str, temperature_c: float) -> float:
         return self.value

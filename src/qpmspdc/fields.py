@@ -33,8 +33,10 @@ from .errors import GridSizeError, SamplingGuardError, ValidationError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-# Largest spectral power fraction near the q-grid edge that propagate accepts.
+# Largest spectral power fraction near the q-grid edge that propagate accepts,
+# "near" meaning in the outer tenth of the grid's |q| range.
 SPECTRAL_TAIL_TOL = 0.05
+_EDGE_BAND = 0.1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -169,11 +171,11 @@ def to_sampled_field(spectrum: AngularSpectrum) -> SampledField:
     return SampledField(values=values, extent=extent, wavelength=spectrum.wavelength)
 
 
-def _spectral_tail_fraction(spectrum: AngularSpectrum, edge_band: float = 0.1) -> float:
-    """Fraction of spectral power within edge_band of the q-grid edge."""
+def _spectral_tail_fraction(spectrum: AngularSpectrum) -> float:
+    """Fraction of spectral power in the outer _EDGE_BAND of the q grid."""
     q = spectrum.q
     q_max = float(np.max(np.abs(q)))
-    band = np.abs(q) >= (1.0 - edge_band) * q_max
+    band = np.abs(q) >= (1.0 - _EDGE_BAND) * q_max
     total = float(np.sum(np.abs(spectrum.values) ** 2))
     if total == 0.0:
         return 0.0

@@ -26,6 +26,9 @@ from .errors import ParaxialityError, PhaseMatchingError, ValidationError
 
 CONVENTIONS = ("external", "internal")
 
+# Detector positions at which efficiency_drop_over_scan samples the scan.
+_DROP_SAMPLES = 513
+
 
 def grating_vector(crystal: CrystalSpec) -> float:
     """Grating wavevector 2*pi*m/Lambda in rad/m."""
@@ -154,22 +157,30 @@ def _angle_wavenumbers(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexM
     return n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
 
 
+def detuning_term(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel) -> float:
+    """n_g * delta_omega / c with the pump group index n_g; 0.0 at degeneracy."""
+    if freqs.delta_omega == 0.0:
+        return 0.0
+    n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
+                      crystal.pump_axis, crystal.temperature_c)
+    return n_g * freqs.delta_omega / C
+
+
 def mismatch_a(alpha_idler, alpha_signal, freqs: FrequencyPair,
                crystal: CrystalSpec, model: IndexModel,
-               pump_group_index: float = 0.0,
                *, convention: str = "external", paraxial_bound: float = 0.2):
     """Phase-matching function A = delta_kz - n_g * delta_omega / c.
 
     Angles map to transverse wavevectors with opposite signs
     (q_i = +kappa_i sin alpha_i, q_s = -kappa_s sin alpha_s) so the symmetric
-    emission cone nearly cancels the pump cross term. ``pump_group_index``
-    only matters off frequency degeneracy.
+    emission cone nearly cancels the pump cross term. The pump group-index
+    term (``detuning_term``) only matters off frequency degeneracy.
     """
     kappa_s, kappa_i = _angle_wavenumbers(freqs, crystal, model, convention)
     q_i = kappa_i * np.sin(np.asarray(alpha_idler, dtype=float))
     q_s = -kappa_s * np.sin(np.asarray(alpha_signal, dtype=float))
     dkz = delta_kz_paraxial(freqs, q_s, q_i, crystal, model, paraxial_bound=paraxial_bound)
-    out = dkz - pump_group_index * freqs.delta_omega / C
+    out = dkz - detuning_term(freqs, crystal, model)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -183,12 +194,7 @@ def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
     Equals 1 at alpha = 0 when the poling period solves the collinear design;
     the first zero is the edge of the central Maker lobe.
     """
-    if freqs.delta_omega != 0.0:
-        n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
-                          crystal.pump_axis, crystal.temperature_c)
-    else:
-        n_g = 0.0
-    a_val = mismatch_a(alpha, alpha, freqs, crystal, model, n_g,
+    a_val = mismatch_a(alpha, alpha, freqs, crystal, model,
                        convention=convention, paraxial_bound=paraxial_bound)
     return sinc(crystal.length * np.asarray(a_val) / 2.0) ** 2
 
@@ -234,18 +240,19 @@ def detector_angle(position, distance: float):
 def efficiency_drop_over_scan(scan_range: float, distance: float,
                               freqs: FrequencyPair, crystal: CrystalSpec,
                               model: IndexModel, *, convention: str = "external",
-                              samples: int = 513) -> float:
+                              paraxial_bound: float = 0.2) -> float:
     """Worst QPM efficiency loss across a detector scan of total extent scan_range.
 
     The scan is centred on the axis (positions +- scan_range/2); returns
-    1 - min over the scan of maker_efficiency(detector_angle(p, distance)).
+    1 - min over the scan of maker_efficiency(detector_angle(p, distance)),
+    under the same paraxial bound.
     """
     if scan_range < 0:
         raise ValidationError(f"scan range must be >= 0, got {scan_range!r}")
     if scan_range == 0.0:
         return 0.0
-    positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, samples)
+    positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES)
     eff = maker_efficiency(detector_angle(positions, distance), freqs, crystal,
-                           model, convention=convention)
+                           model, convention=convention, paraxial_bound=paraxial_bound)
     return float(1.0 - np.min(eff))
 

@@ -150,7 +150,8 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
         analytic = coincidence_scan_analytic(
             profile, config.detection, detectors, crystal=config.crystal,
             model=model, freqs=freqs,
-            convention=config.numerics.angle_convention)
+            convention=config.numerics.angle_convention,
+            paraxial_bound=config.numerics.paraxial_bound)
     if method in ("oracle", "both"):
         amplitude, grid_warnings = _sized_joint_amplitude(
             config, model, to_angular_spectrum(exit_field), include_phase=False)

@@ -54,7 +54,7 @@ def geometry(**overrides):
     return DetectionGeometry(**base)
 
 
-def brute_force_oracle_rates(amplitude, geometry, mode, slit_samples=8):
+def brute_force_oracle_rates(amplitude, geometry, mode):
     """Reference oracle: every detector pair of the full transform, then the scan's.
 
     Each detector column carries exp(i q p) exp(-i z q^2 / 2k); the amplitude
@@ -67,7 +67,7 @@ def brute_force_oracle_rates(amplitude, geometry, mode, slit_samples=8):
     z = geometry.distance
     q = amplitude.q_signal
     positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width, slit_samples)
+    offsets = _slit_offsets(geometry.slit_width)
     n_scan, n_off = positions.size, offsets.size
     scanned = (positions[:, None] + offsets[None, :]).ravel()
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -86,6 +87,11 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_scenario_text(mutate(MINIMAL))
         assert needle in str(err.value)
+
+    def test_readme_example_is_preset_1(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_scenario_text(example) == load_scenario("paper-config-1")
 
     def test_embedded_invariants_revalidated(self):
         text = MINIMAL.replace("duty_cycle = 0.5", "")  # default fine
@@ -466,6 +472,34 @@ class TestExitCodeContract:
                                "--out", str(tmp_path / "scan.csv"))
         assert code == 3
         assert "grid_extent_mm must be at least 30.103" in err
+
+    @pytest.mark.parametrize("command", ["maker-fringes", "coincidence-scan"])
+    def test_tight_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command):
+        # The analytic scan's efficiency-drop check once ran under the
+        # default bound of 0.2 whatever [numerics] paraxial_bound said.
+        config = tmp_path / "tight.ini"
+        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
+                          .replace("paraxial_bound = 0.2", "paraxial_bound = 0.001"),
+                          encoding="utf-8")
+        code, err = self._main(capsys, command, "--config", str(config),
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert "exceeds bound 0.0010" in err
+
+    def test_loose_paraxial_bound_reaches_the_analytic_scan(self, tmp_path, capsys):
+        # A 10 mm scan at 10 mm reaches |q|/k = 0.27: past the default bound,
+        # inside the configured 0.5.
+        config = tmp_path / "wide.ini"
+        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
+                          .replace("paraxial_bound = 0.2", "paraxial_bound = 0.5")
+                          .replace("distance_mm = 500.0", "distance_mm = 10")
+                          .replace("scan_range_mm = 2.0", "scan_range_mm = 10.0")
+                          .replace("scan_step_mm = 0.02", "scan_step_mm = 0.1"),
+                          encoding="utf-8")
+        code = cli.main(["coincidence-scan", "--mode", "analytic", "--config", str(config),
+                         "--out", str(tmp_path / "scan.csv")])
+        assert code == 0, capsys.readouterr().err
+        assert "regime violation" in (tmp_path / "scan.csv").read_text()
 
     @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol"])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):

@@ -171,7 +171,7 @@ class TestMismatchA:
                                           0.497 * omega_pump)
         n_g = group_index(ktp, 413e-9, "y", 40.0)
         dkz = delta_kz_paraxial(detuned, 0.0, 0.0, designed_crystal, ktp)
-        a_val = mismatch_a(0.0, 0.0, detuned, designed_crystal, ktp, n_g)
+        a_val = mismatch_a(0.0, 0.0, detuned, designed_crystal, ktp)
         assert a_val - dkz == pytest.approx(-n_g * detuned.delta_omega / C, rel=1e-12)
 
     def test_cross_term_vanishes_for_matched_fields(self, freqs):

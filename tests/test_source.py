@@ -1,0 +1,29 @@
+"""Static checks on the package source."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qpmspdc"
+
+
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each name the module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+# __init__.py imports are the package's public names, read by its users.
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")
+                                          if path.name != "__init__.py"))
+def test_no_unused_import(module):
+    assert unused_imports(PACKAGE / module) == []
