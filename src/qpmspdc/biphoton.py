@@ -54,12 +54,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import VACUUM_LIGHT_SPEED as C
-from .core import (CrystalSpec, DetectionGeometry, FrequencyPair, PumpSpec,
-                   frozen_array, sinc)
+from .core import (MAX_JOINT_SAMPLES, CrystalSpec, DetectionGeometry,
+                   FrequencyPair, PumpSpec, centered_grid, frozen_array, sinc)
 from .dispersion import IndexModel
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
-from .fields import AngularSpectrum, SampledField, _centered_grid
+from .fields import AngularSpectrum, SampledField
 from .phasematch import (detuning_term, efficiency_drop_over_scan,
                          paraxial_mismatch_terms)
 
@@ -229,9 +229,10 @@ def symmetric_q_grid(q_extent: float, samples: int) -> np.ndarray:
     """Centred uniform q grid of total extent q_extent with ``samples`` nodes."""
     if not (math.isfinite(q_extent) and q_extent > 0):
         raise ValidationError(f"q extent must be positive, got {q_extent!r}")
-    if not (isinstance(samples, int) and samples >= 2):
-        raise ValidationError(f"sample count must be an integer >= 2, got {samples!r}")
-    return _centered_grid(samples, q_extent / samples)
+    if not (isinstance(samples, int) and 2 <= samples <= MAX_JOINT_SAMPLES):
+        raise ValidationError(f"sample count must be an integer from 2 to "
+                              f"{MAX_JOINT_SAMPLES}, got {samples!r}")
+    return centered_grid(samples, q_extent / samples)
 
 
 def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
@@ -267,7 +268,7 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
     detuning = detuning_term(freqs, crystal, model)
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
-        freqs, q, crystal, model, paraxial_bound=paraxial_bound)
+        freqs, q, q, crystal, model, paraxial_bound=paraxial_bound)
     if spectral_envelope(freqs, pump) == 0.0 or not np.any(pump_sums):
         raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length

@@ -21,8 +21,12 @@ VACUUM_LIGHT_SPEED = 299_792_458.0  # m/s, exact SI definition
 
 AXES = ("x", "y", "z")
 
-# Most detector positions a scan may ask for: 100 times the presets' 101.
+# Most detector positions of a scan, or angles of a Maker sweep: 100 times
+# the presets' 101. Most samples of the pump grid and of the joint grid's q
+# axis, 256 and 16 times the presets' 4096 and about 1000.
 MAX_SCAN_POSITIONS = 10_001
+MAX_GRID_SAMPLES = 2**20
+MAX_JOINT_SAMPLES = 2**14
 
 
 def sinc(x, out=None, zeros=None):
@@ -41,6 +45,11 @@ def sinc(x, out=None, zeros=None):
         out /= arr
     np.copyto(out, 1.0, where=np.equal(arr, 0.0, out=zeros))
     return out
+
+
+def centered_grid(count: int, step: float) -> np.ndarray:
+    """``count`` nodes ``step`` apart, node count // 2 at zero: fields, spectra, joint grid."""
+    return (np.arange(count) - count // 2) * step
 
 
 def angular_frequency(wavelength: float) -> float:
@@ -84,10 +93,6 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-def _check_axis(name: str, value: str) -> None:
-    _require(value in AXES, f"{name} must be one of {AXES}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CrystalSpec:
     """Periodically poled crystal geometry and axis assignment.
@@ -120,7 +125,8 @@ class CrystalSpec:
         _require(math.isfinite(self.temperature_c),
                  f"temperature must be finite, got {self.temperature_c!r}")
         for name in ("pump_axis", "signal_axis", "idler_axis"):
-            _check_axis(name, getattr(self, name))
+            value = getattr(self, name)
+            _require(value in AXES, f"{name} must be one of {AXES}, got {value!r}")
         if self.type_ii:
             _require(self.signal_axis != self.idler_axis,
                      "type-II process requires distinct signal and idler axes")

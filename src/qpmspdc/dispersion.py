@@ -22,12 +22,11 @@ class IndexModel:
     """Evaluatable refractive-index model.
 
     Subclasses implement ``_evaluate``; the public ``index`` wraps it with the
-    validity-window check and the n > 1 sanity check (vacuum-like constant
-    test models may sit exactly at 1).
+    validity-window check and the 1 <= n <= 10 sanity check (vacuum-like
+    constant test models may sit exactly at 1).
     """
 
     model_id: str = "abstract"
-    citation: str = ""
 
     def window(self, axis: str) -> tuple[float, float]:
         """Validity window [lambda_min, lambda_max] in metres for an axis."""
@@ -45,7 +44,9 @@ class IndexModel:
         if not (lo <= wavelength <= hi):
             raise WavelengthWindowError(wavelength, (lo, hi), self.model_id)
         n = self._evaluate(wavelength, axis, temperature_c)
-        if not (math.isfinite(n) and n >= 1.0):
+        # No transparent medium has an index near 10; a larger value is a fit
+        # driven far outside its range, and it can overflow n w / c downstream.
+        if not (math.isfinite(n) and 1.0 <= n <= 10.0):
             raise ValidationError(
                 f"index model '{self.model_id}' produced non-physical n = {n!r} "
                 f"at {wavelength * 1e9:.2f} nm"
@@ -81,7 +82,6 @@ class KtpIndexModel(IndexModel):
     """
 
     model_id = "ktp-kato-takaoka-2002"
-    citation = "K. Kato and E. Takaoka, Appl. Opt. 41, 5040 (2002)"
 
     def window(self, axis: str) -> tuple[float, float]:
         return _KTP_WINDOW
@@ -147,7 +147,7 @@ class TabulatedIndexModel(IndexModel):
             self._tables[axis] = (ws, ns)
 
     @classmethod
-    def from_file(cls, path, model_id: str | None = None) -> "TabulatedIndexModel":
+    def from_file(cls, path) -> "TabulatedIndexModel":
         """Load records from plain text: one ``wavelength_nm axis index`` per line.
 
         Blank lines and lines starting with ``#`` are ignored.
@@ -171,7 +171,7 @@ class TabulatedIndexModel(IndexModel):
                 ws, ns = tables.setdefault(axis, ([], []))
                 ws.append(wavelength)
                 ns.append(value)
-        return cls(tables, model_id=model_id or f"table:{path}")
+        return cls(tables, model_id=f"table:{path}")
 
     def window(self, axis: str) -> tuple[float, float]:
         if axis not in self._tables:

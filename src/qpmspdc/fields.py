@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CrystalSpec, PumpSpec, frozen_array
+from .core import (MAX_GRID_SAMPLES, CrystalSpec, PumpSpec, centered_grid,
+                   frozen_array)
 from .dispersion import IndexModel
 from .errors import GridSizeError, SamplingGuardError, ValidationError
 
@@ -45,10 +46,6 @@ def _is_power_of_two(n: int) -> bool:
 
 def _next_power_of_two(n: int) -> int:
     return 1 << max(1, int(n - 1).bit_length())
-
-
-def _centered_grid(count: int, step: float) -> np.ndarray:
-    return (np.arange(count) - count // 2) * step
 
 
 def _freeze_samples(grid, what: str, extent: float) -> np.ndarray:
@@ -94,7 +91,7 @@ class SampledField:
 
     @property
     def x(self) -> np.ndarray:
-        return _centered_grid(self.values.size, self.dx)
+        return centered_grid(self.values.size, self.dx)
 
     @property
     def intensity(self) -> np.ndarray:
@@ -126,7 +123,7 @@ class AngularSpectrum:
 
     @property
     def q(self) -> np.ndarray:
-        return _centered_grid(self.values.size, self.dq)
+        return centered_grid(self.values.size, self.dq)
 
     @property
     def power(self) -> float:
@@ -146,9 +143,16 @@ def gaussian_source(waist_radius: float, wavelength: float, *, grid_extent: floa
         raise GridSizeError(
             f"grid extent {grid_extent:.4g} m too small for waist {waist_radius:.4g} m "
             f"(need extent >= {8.0 * waist_radius:.4g} m)")
-    if not _is_power_of_two(sample_count):
-        raise ValidationError(f"sample count must be a power of two, got {sample_count!r}")
-    x = _centered_grid(sample_count, grid_extent / sample_count)
+    if not (_is_power_of_two(sample_count) and sample_count <= MAX_GRID_SAMPLES):
+        raise ValidationError(f"sample count must be a power of two up to "
+                              f"{MAX_GRID_SAMPLES}, got {sample_count!r}")
+    # Coarser than this (or not finite), the spectral-tail guard of the first
+    # propagation always trips; refusing here keeps x / waist_radius small.
+    if not grid_extent / sample_count <= 2.0 * waist_radius:
+        raise SamplingGuardError(
+            f"grid step {grid_extent / sample_count:.4g} m does not resolve waist "
+            f"{waist_radius:.4g} m (need step <= {2.0 * waist_radius:.4g} m)")
+    x = centered_grid(sample_count, grid_extent / sample_count)
     values = np.exp(-(x / waist_radius) ** 2).astype(complex)
     return SampledField(values=values, extent=grid_extent, wavelength=wavelength)
 
@@ -191,10 +195,13 @@ def propagate(field: SampledField, distance: float,
     distance d in a medium of index n equals free space of d/n, which is how
     the crystal interior is traversed.
     """
-    if not math.isfinite(distance):
-        raise ValidationError(f"propagation distance must be finite, got {distance!r}")
     if not (math.isfinite(medium_index) and medium_index > 0):
         raise ValidationError(f"medium index must be positive, got {medium_index!r}")
+    k = 2.0 * math.pi / field.wavelength
+    q_edge = math.pi / field.dx
+    if not math.isfinite(q_edge * q_edge * distance / (2.0 * k * medium_index)):
+        raise ValidationError(f"propagation distance {distance!r} m is not finite, or "
+                              "overflows the phase at the q-grid edge")
     if distance == 0.0:
         return field
     spectrum = to_angular_spectrum(field)
@@ -206,7 +213,6 @@ def propagate(field: SampledField, distance: float,
             f"spectral power fraction {tail:.3g} at the q-grid edge exceeds "
             f"{SPECTRAL_TAIL_TOL:.3g}; the source structure is undersampled",
             suggested_samples=suggested)
-    k = 2.0 * math.pi / field.wavelength
     q = spectrum.q
     phase = np.exp(-1j * q**2 * distance / (2.0 * k * medium_index))
     return to_sampled_field(replace(spectrum, values=spectrum.values * phase))
@@ -294,6 +300,8 @@ def march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
                 "element positions must be monotone and downstream of the pump waist "
                 f"(waist at {pump.waist_position!r} m)")
         last = z_e
+    # First, so that a pump outside the model's window is refused before the march.
+    n0 = model.index(pump.center_wavelength, crystal.pump_axis, crystal.temperature_c)
     field = gaussian_source(pump.waist_radius, pump.center_wavelength,
                             grid_extent=grid_extent, sample_count=sample_count)
     z = pump.waist_position
@@ -302,5 +310,4 @@ def march_to_crystal_exit(pump: PumpSpec, elements, crystal: CrystalSpec,
         field = apply_element(field, element)
         z = z_e
     field = propagate(field, 0.0 - z)
-    n0 = model.index(pump.center_wavelength, crystal.pump_axis, crystal.temperature_c)
     return propagate(field, crystal.length, medium_index=n0)

@@ -49,43 +49,52 @@ def _field_indices(freqs: FrequencyPair, pump_axis: str, signal_axis: str,
     return n_p, n_s, n_i
 
 
-def _crystal_indices(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel):
+def crystal_indices(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel):
+    """The crystal's index triple (n_pump, n_signal, n_idler) at the pair's wavelengths."""
     return _field_indices(freqs, crystal.pump_axis, crystal.signal_axis,
                           crystal.idler_axis, crystal.temperature_c, model)
 
 
-def _collinear_density(freqs: FrequencyPair, pump_axis: str, signal_axis: str,
-                       idler_axis: str, temperature_c: float,
-                       model: IndexModel) -> float:
+def _collinear_density(freqs: FrequencyPair, indices) -> float:
     """(n0*w0 - n_i*w_i - n_s*w_s)/c, the collinear wavevector imbalance.
 
-    Shared between the mismatch evaluation and the poling-period design so
-    the design round-trip cancels to floating-point accuracy.
+    ``indices`` is the (n_pump, n_signal, n_idler) triple at the pair's
+    frequencies. Shared between the mismatch evaluation and the
+    poling-period design so the design round-trip cancels to floating-point
+    accuracy.
     """
-    n_p, n_s, n_i = _field_indices(freqs, pump_axis, signal_axis, idler_axis,
-                                   temperature_c, model)
+    n_p, n_s, n_i = indices
     return (n_p * freqs.omega_pump - n_i * freqs.omega_idler - n_s * freqs.omega_signal) / C
-
-
-def _collinear_mismatch(freqs: FrequencyPair, crystal: CrystalSpec,
-                        model: IndexModel) -> float:
-    """Collinear wavevector imbalance less the grating vector, in rad/m.
-
-    The q-independent part of the paraxial mismatch; zero when the poling
-    period solves the collinear design at these frequencies.
-    """
-    return (_collinear_density(freqs, crystal.pump_axis, crystal.signal_axis,
-                               crystal.idler_axis, crystal.temperature_c, model)
-            - grating_vector(crystal))
 
 
 def _paraxial_check(q, k: float, bound: float) -> None:
     qmax = float(np.max(np.abs(q))) if np.ndim(q) else abs(float(q))
-    if k <= 0:
-        raise ValidationError("wavevector must be positive")
     ratio = qmax / k
-    if ratio >= bound:
+    if not ratio < bound:
         raise ParaxialityError(ratio, bound)
+
+
+def paraxial_mismatch_terms(freqs: FrequencyPair, q_signal, q_idler,
+                            crystal: CrystalSpec, model: IndexModel,
+                            *, paraxial_bound: float = 0.2
+                            ) -> tuple[float, float, float, float]:
+    """The paraxial mismatch as a constant plus three quadratic coefficients.
+
+    Returns (constant, a_s, a_i, a_p) with a_j = c / (2 n_j w_j) and the
+    constant the collinear imbalance less the grating vector, so that the
+    mismatch is constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2. The
+    crystal's index triple is looked up once. The guard
+    |q| < bound * (n w / c) is enforced per beam on the given signal and
+    idler wavevectors.
+    """
+    indices = crystal_indices(freqs, crystal, model)
+    n_p, n_s, n_i = indices
+    _paraxial_check(q_signal, n_s * freqs.omega_signal / C, paraxial_bound)
+    _paraxial_check(q_idler, n_i * freqs.omega_idler / C, paraxial_bound)
+    return (_collinear_density(freqs, indices) - grating_vector(crystal),
+            C / (2.0 * n_s * freqs.omega_signal),
+            C / (2.0 * n_i * freqs.omega_idler),
+            C / (2.0 * n_p * freqs.omega_pump))
 
 
 def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
@@ -94,67 +103,17 @@ def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
     """Paraxial longitudinal mismatch for given transverse wavevectors.
 
     Returns (n0 w0 - n_i w_i - n_s w_s)/c - 2 pi m / Lambda
-    + c q_i^2/(2 n_i w_i) + c q_s^2/(2 n_s w_s) - c (q_i+q_s)^2/(2 n0 w0),
-    broadcasting over array-valued q. The guard |q| < bound * (n w / c) is
-    enforced per beam.
+    + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 from
+    ``paraxial_mismatch_terms``, broadcasting over array-valued q.
     """
-    n_p, n_s, n_i = _crystal_indices(freqs, crystal, model)
-    _paraxial_check(q_signal, n_s * freqs.omega_signal / C, paraxial_bound)
-    _paraxial_check(q_idler, n_i * freqs.omega_idler / C, paraxial_bound)
+    constant, a_s, a_i, a_p = paraxial_mismatch_terms(
+        freqs, q_signal, q_idler, crystal, model, paraxial_bound=paraxial_bound)
     qs = np.asarray(q_signal, dtype=float)
     qi = np.asarray(q_idler, dtype=float)
-    out = (
-        _collinear_mismatch(freqs, crystal, model)
-        + C * qi**2 / (2.0 * n_i * freqs.omega_idler)
-        + C * qs**2 / (2.0 * n_s * freqs.omega_signal)
-        - C * (qi + qs) ** 2 / (2.0 * n_p * freqs.omega_pump)
-    )
+    out = constant + a_s * qs**2 + a_i * qi**2 - a_p * (qs + qi) ** 2
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def paraxial_coefficients(freqs: FrequencyPair, indices) -> tuple[float, float, float]:
-    """Quadratic coefficients (a_s, a_i, a_p) = c / (2 n_j w_j) of the paraxial mismatch.
-
-    ``indices`` is the (n_pump, n_signal, n_idler) triple of the crystal at
-    the pair's frequencies. The sinc's reach along the anti-diagonal, which
-    sizes the joint grid, and the joint fill both read them from here.
-    """
-    n_p, n_s, n_i = indices
-    return (C / (2.0 * n_s * freqs.omega_signal),
-            C / (2.0 * n_i * freqs.omega_idler),
-            C / (2.0 * n_p * freqs.omega_pump))
-
-
-def paraxial_mismatch_terms(freqs: FrequencyPair, q, crystal: CrystalSpec,
-                           model: IndexModel, *, paraxial_bound: float = 0.2
-                           ) -> tuple[float, float, float, float]:
-    """The paraxial mismatch as a sum of 1D terms over a transverse grid q.
-
-    Returns (constant, a_s, a_i, a_p) such that delta_kz_paraxial equals
-    constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 with the
-    ``paraxial_coefficients`` a_j, up to rounding. Signal and idler both take
-    their wavevectors from q, which is checked against the paraxial bound per
-    beam as delta_kz_paraxial checks its arguments.
-    """
-    indices = _crystal_indices(freqs, crystal, model)
-    _, n_s, n_i = indices
-    _paraxial_check(q, n_s * freqs.omega_signal / C, paraxial_bound)
-    _paraxial_check(q, n_i * freqs.omega_idler / C, paraxial_bound)
-    return (_collinear_mismatch(freqs, crystal, model),
-            *paraxial_coefficients(freqs, indices))
-
-
-def _angle_wavenumbers(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel,
-                       convention: str) -> tuple[float, float]:
-    """Wavenumbers mapping emission angles to q, per convention."""
-    if convention not in CONVENTIONS:
-        raise ValidationError(f"angle convention must be one of {CONVENTIONS}, got {convention!r}")
-    if convention == "external":
-        return freqs.omega_signal / C, freqs.omega_idler / C
-    _, n_s, n_i = _crystal_indices(freqs, crystal, model)
-    return n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
 
 
 def detuning_term(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel) -> float:
@@ -174,9 +133,16 @@ def mismatch_a(alpha_idler, alpha_signal, freqs: FrequencyPair,
     Angles map to transverse wavevectors with opposite signs
     (q_i = +kappa_i sin alpha_i, q_s = -kappa_s sin alpha_s) so the symmetric
     emission cone nearly cancels the pump cross term. The pump group-index
-    term (``detuning_term``) only matters off frequency degeneracy.
+    term (``detuning_term``) only matters off frequency degeneracy. The
+    wavenumbers kappa are the vacuum ones (external angles) or the crystal's
+    (internal angles).
     """
-    kappa_s, kappa_i = _angle_wavenumbers(freqs, crystal, model, convention)
+    if convention not in CONVENTIONS:
+        raise ValidationError(f"angle convention must be one of {CONVENTIONS}, got {convention!r}")
+    n_s = n_i = 1.0
+    if convention == "internal":
+        _, n_s, n_i = crystal_indices(freqs, crystal, model)
+    kappa_s, kappa_i = n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
     q_i = kappa_i * np.sin(np.asarray(alpha_idler, dtype=float))
     q_s = -kappa_s * np.sin(np.asarray(alpha_signal, dtype=float))
     dkz = delta_kz_paraxial(freqs, q_s, q_i, crystal, model, paraxial_bound=paraxial_bound)
@@ -217,8 +183,8 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
         angular_frequency(signal_wavelength),
         angular_frequency(idler_wavelength),
     )
-    density = _collinear_density(freqs, pump_axis, signal_axis, idler_axis,
-                                 temperature_c, model)
+    density = _collinear_density(freqs, _field_indices(
+        freqs, pump_axis, signal_axis, idler_axis, temperature_c, model))
     if not density > 0.0:
         raise PhaseMatchingError(
             "no quasi-phase-matching solution: collinear wavevector imbalance "

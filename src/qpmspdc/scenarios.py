@@ -17,14 +17,15 @@ from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
                        normalized_cross_correlation)
 from .config import ScenarioConfig
 from .core import VACUUM_LIGHT_SPEED as C
-from .core import FrequencyPair, vacuum_wavelength
+from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
+                   vacuum_wavelength)
 from .dispersion import IndexModel
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (_crystal_indices, design_poling_period,
+from .phasematch import (crystal_indices, design_poling_period,
                          delta_kz_paraxial, fourier_coefficient,
-                         maker_efficiency, paraxial_coefficients)
+                         maker_efficiency, paraxial_mismatch_terms)
 
 
 def index_model_for(config: ScenarioConfig) -> IndexModel:
@@ -54,10 +55,6 @@ def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
     return to_angular_spectrum(_crystal_exit_field(config, index_model_for(config)))
 
 
-def _round_up(value: float, multiple: int) -> int:
-    return int(math.ceil(value / multiple)) * multiple
-
-
 def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
                     model: IndexModel) -> tuple[float, int, tuple[str, ...]]:
     """Joint (q_s, q_i) grid sized for the configured detection geometry.
@@ -75,8 +72,7 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     z = detection.distance
     k_dc = min(freqs.omega_signal, freqs.omega_idler) / C
     k_pump = freqs.omega_pump / C
-    a_signal, a_idler, _ = paraxial_coefficients(
-        freqs, _crystal_indices(freqs, crystal, model))
+    _, a_signal, a_idler, _ = paraxial_mismatch_terms(freqs, 0.0, 0.0, crystal, model)
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
     beta = 0.5 * crystal.length * (a_signal + a_idler)
     tail_target = 0.005 * math.sqrt(math.pi * k_dc / z)
@@ -102,7 +98,12 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     else:
         dq_chirp = 0.8 * math.pi * k_dc / (z * 0.5 * q_extent)
         dq_position = 0.8 * math.pi / p_eff
-        samples = max(256, _round_up(q_extent / min(dq_chirp, dq_position), 16))
+        needed = q_extent / min(dq_chirp, dq_position)
+        if not needed <= MAX_JOINT_SAMPLES:
+            raise ValidationError(
+                f"joint grid q extent {q_extent:.6g} rad/m needs {needed:.6g} samples; "
+                f"at most {MAX_JOINT_SAMPLES} are allowed")
+        samples = max(256, 16 * math.ceil(needed / 16))
     return q_extent, samples, warnings
 
 
@@ -170,7 +171,12 @@ def maker_curve(config: ScenarioConfig, *, alpha_max: float,
         raise ValidationError(f"angle step must be positive, got {alpha_step!r}")
     if not (math.isfinite(alpha_max) and alpha_max >= alpha_step):
         raise ValidationError(f"angle maximum must be at least the step, got {alpha_max!r}")
-    count = int(math.floor(alpha_max / alpha_step + 1e-9)) + 1
+    steps = alpha_max / alpha_step + 1e-9
+    if not steps < MAX_SCAN_POSITIONS:
+        raise ValidationError(
+            f"angle step {alpha_step!r} rad up to {alpha_max!r} rad gives {steps + 1:.6g} "
+            f"angles; at most {MAX_SCAN_POSITIONS} are allowed")
+    count = int(math.floor(steps)) + 1
     alphas = alpha_step * np.arange(count)
     freqs = degenerate_pair(config)
     eff = maker_efficiency(alphas, freqs, config.crystal, index_model_for(config),
@@ -220,7 +226,7 @@ def design_report(config: ScenarioConfig) -> dict:
     freqs = degenerate_pair(config)
     designed = replace(crystal, poling_period=period)
     residual = delta_kz_paraxial(freqs, 0.0, 0.0, designed, model)
-    n_p, n_s, n_i = _crystal_indices(freqs, crystal, model)
+    n_p, n_s, n_i = crystal_indices(freqs, crystal, model)
     return {
         "model": model.model_id,
         "pump_wavelength": pump_wavelength,

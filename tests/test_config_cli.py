@@ -1,16 +1,17 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpmspdc import cli
@@ -405,6 +406,12 @@ class TestGuardExitCodes:
         assert "window" in res.stderr
 
 
+def _preset_with(key, value):
+    """Preset 1 as text, with one key set to value."""
+    text = scenario_to_text(load_scenario("paper-config-1"))
+    return re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+
+
 class TestExitCodeContract:
     """Every failure inside a command leaves cli.main with 2 or 3, never a traceback."""
 
@@ -459,6 +466,59 @@ class TestExitCodeContract:
         assert f"gives {count} positions; at most 10001 are allowed" in err
         assert peak < 16 * 2**20
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("alpha_max,alpha_step,count", [
+        ("1e300", "1e-300", "inf"), ("1e30", "1e-3", "1e+33"), ("1", "1e-5", "100001")])
+    def test_too_many_maker_angles_exits_2(self, tmp_path, capsys, alpha_max, alpha_step,
+                                           count):
+        # The angle count is refused before an angle array exists; the first
+        # two once raised OverflowError and ValueError from the allocation.
+        tracemalloc.start()
+        try:
+            code, err = self._main(capsys, "maker-fringes", "--config", "paper-config-1",
+                                   "--alpha-max-deg", alpha_max,
+                                   "--alpha-step-deg", alpha_step,
+                                   "--out", str(tmp_path / "maker.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"gives {count} angles; at most 10001 are allowed" in err
+        assert peak < 16 * 2**20
+        assert not (tmp_path / "maker.csv").exists()
+
+    @pytest.mark.parametrize("key,value,command,needle", [
+        ("grid_samples", "1125899906842624", ["pump-propagate"],
+         "power of two up to 1048576, got 1125899906842624"),
+        ("grid_samples", "1125899906842624", ["coincidence-scan", "--mode", "analytic"],
+         "power of two up to 1048576, got 1125899906842624"),
+        ("grid_samples", "1125899906842624", ["coincidence-scan", "--mode", "oracle"],
+         "power of two up to 1048576, got 1125899906842624"),
+        ("joint_grid_samples", "100000000000", ["coincidence-scan", "--mode", "oracle"],
+         "integer from 2 to 16384, got 100000000000"),
+        ("joint_q_extent", "1e300", ["coincidence-scan", "--mode", "both"],
+         "needs inf samples; at most 16384 are allowed"),
+    ])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, key, value, command, needle):
+        # numpy refuses each of these sizes outright (MemoryError, or
+        # OverflowError from the sample count); the cap refuses them first.
+        config = tmp_path / "huge.ini"
+        config.write_text(_preset_with(key, value), encoding="utf-8")
+        code, err = self._main(capsys, *command, "--config", str(config),
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert needle in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_unphysical_index_exits_2(self, tmp_path, capsys):
+        # KTP's thermo-optic fit at 1e300 C gives n ~ 1e294, whose wavevector
+        # n w / c overflows; the Maker curve was once all NaN, with exit 0.
+        config = tmp_path / "hot.ini"
+        config.write_text(_preset_with("temperature_c", "1e300"), encoding="utf-8")
+        code, err = self._main(capsys, "maker-fringes", "--config", str(config),
+                               "--out", str(tmp_path / "maker.csv"))
+        assert code == 2
+        assert "non-physical n" in err
 
     def test_analytic_scan_off_pump_grid_exits_3(self, tmp_path, capsys):
         # A 30 mm scan at 500 mm reads the detection-plane profile beyond the
@@ -540,6 +600,50 @@ class TestErrorFamilies:
             code = cli.main([command, "--config", "paper-config-1", "--out", os.devnull])
         assert code == (2 if is_validation else 3)
         assert stderr.getvalue() == f"error: {error}\n"
+
+
+# Values at and past the edges of every numeric key's range.
+_EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+_NUMERIC_LINE = re.compile(r"(?m)^(\w+) = ([-+.\de]+)$")
+# Every command but the oracle, whose joint grid can take seconds to fill.
+_PROPERTY_COMMANDS = (["maker-fringes"], ["design-poling"], ["pump-propagate"],
+                      ["coincidence-scan", "--mode", "analytic"])
+# An index table spanning every wavelength config_texts() can ask for.
+_WIDE_TABLE = "".join(f"{nm} {axis} {n}\n" for axis in "xyz"
+                      for nm, n in ((100, 2.0), (10000, 1.7)))
+
+
+@st.composite
+def extreme_config_texts(draw):
+    """config_texts() with one numeric value replaced by an extreme."""
+    text = draw(config_texts())
+    match = draw(st.sampled_from(list(_NUMERIC_LINE.finditer(text))))
+    value = draw(st.sampled_from(_EXTREMES))
+    return f"{text[:match.start(2)]}{value}{text[match.end(2):]}"
+
+
+class TestExitCodeProperty:
+    @pytest.fixture(scope="class")
+    def table_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tables") / "index.txt"
+        path.write_text(_WIDE_TABLE, encoding="utf-8")
+        return path
+
+    @given(text=extreme_config_texts())
+    @example(text=_preset_with("grid_samples", "1125899906842624"))
+    @example(text=_preset_with("grid_extent_mm", "inf"))
+    @example(text=_preset_with("grid_extent_mm", "1e300"))
+    @example(text=_preset_with("length_mm", "1e300"))
+    @example(text=_preset_with("wavelength_nm", "1e-300"))
+    def test_extreme_value_exits_0_2_or_3(self, table_path, text):
+        # Each command either succeeds or reports the value; none raises.
+        text = text.replace("tables/index.txt", str(table_path))
+        config = table_path.with_name("scenario.ini")
+        config.write_text(text, encoding="utf-8")
+        for command in _PROPERTY_COMMANDS:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main([*command, "--config", str(config), "--out", os.devnull])
+            assert code in (0, 2, 3), (command, text)
 
 
 class TestJointGridClipping:

@@ -26,6 +26,10 @@ class TestConstantModel:
         with pytest.raises(ValidationError):
             ConstantIndexModel(0.9)
 
+    def test_index_above_ten_is_non_physical(self):
+        with pytest.raises(ValidationError, match="non-physical n = 1e"):
+            ConstantIndexModel(1e300).index(500e-9, "y", 25.0)
+
 
 class TestKtpModel:
     def test_frozen_oracle_values(self, ktp):

@@ -27,3 +27,19 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                                           if path.name != "__init__.py"))
 def test_no_unused_import(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def private_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each private name the module imports from another package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("qpmspdc"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+# A name one module needs from another is part of the package's surface and
+# gets a public name; the leading underscore promises no caller outside.
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_no_cross_module_private_import(module):
+    assert private_imports(PACKAGE / module) == []
