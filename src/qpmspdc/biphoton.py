@@ -28,11 +28,11 @@ of a signal term, an idler term and a pair-sum term. ``JointAmplitude``
 keeps these 1D factors; the oracle computes the sinc a block of rows at a
 time, adding three vectors (the pair-sum one through the same Hankel view
 as the pump), just before it transports that block, and applies the pump
-and the unit-peak normalization where they factor out of its contractions.
-A scan's memory thus grows as N, not N^2; ``base_values`` fills the whole
-grid only for a caller that asks for it. The oracle's detector-position
-phases exp(i q p) on the evenly spaced scan positions are the product of
-two short tables.
+and the normalization, a division by the pump's peak magnitude, where they
+factor out of its contractions. A scan's memory thus grows as N, not N^2;
+``base_values`` fills the whole grid only for a caller that asks for it.
+The oracle's detector-position phases exp(i q p) on the evenly spaced scan
+positions are the product of two short tables.
 
 Spatial scans are evaluated at fixed frequencies; a detuned pair enters the
 sinc argument through the pump group-index term of A. The generation phase
@@ -47,7 +47,7 @@ phase factor for 1 reproduces scans bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -106,11 +106,14 @@ def sample_pump_spectrum(spectrum: AngularSpectrum, q_values: np.ndarray) -> np.
 class JointAmplitude:
     """Joint signal/idler amplitude on a symmetric (q_s, q_i) grid, kept factored.
 
-    The amplitude is the pump at q_s + q_i times sinc(L A / 2), normalized to
-    unit peak magnitude, on the square grid q_signal x q_idler (one shared
-    axis). It is held as 1D factors: ``pump_sums``, the pump at the 2N-1 pair
-    sums (index s + i), and the signal, idler and pair-sum terms of the sinc
-    argument L A / 2. Scans stream the grid a block of rows at a time
+    The amplitude is the pump at q_s + q_i times sinc(L A / 2), divided by
+    the pump's peak magnitude ``pump_peak``, on the square grid q_signal x
+    q_idler (one shared axis). Where the phase-matched cell sits at the pump
+    peak, as on a designed crystal, the amplitude peaks at 1 to rounding;
+    away from phase matching it peaks lower, with the generation efficiency.
+    It is held as 1D factors: ``pump_sums``, the pump at the 2N-1 pair sums
+    (index s + i), and the signal, idler and pair-sum terms of the sinc
+    argument L A / 2. Scans stream the sinc a block of rows at a time
     (``sinc_rows``) and apply the pump and the normalization around their
     contractions; ``base_values`` fills the whole grid only when asked for.
     With ``include_phase`` the amplitude carries the generation phase
@@ -125,9 +128,8 @@ class JointAmplitude:
     idler_term: np.ndarray
     pair_term: np.ndarray
     freqs: FrequencyPair
-    crystal: CrystalSpec
     include_phase: bool = False
-    pump_magnitude: np.ndarray = field(init=False, repr=False)
+    pump_peak: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         q = frozen_array(self.q_signal, float)
@@ -142,37 +144,30 @@ class JointAmplitude:
                 raise ValidationError(f"joint amplitude {name} must hold {size} values")
             object.__setattr__(self, name, line)
         object.__setattr__(self, "q_signal", q)
-        object.__setattr__(self, "pump_magnitude", frozen_array(np.abs(self.pump_sums), float))
+        peak = float(np.max(np.abs(self.pump_sums)))
+        if peak == 0.0:
+            raise ValidationError("joint amplitude is identically zero on this grid")
+        object.__setattr__(self, "pump_peak", peak)
 
     @property
     def q_idler(self) -> np.ndarray:
         return self.q_signal
 
-    def sinc_rows(self, start: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  *, transpose: bool = False) -> tuple[np.ndarray, float]:
-        """sinc(L A / 2) on the grid rows from ``start``, and their peak |P| |sinc|.
+    def sinc_rows(self, start: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]
+                  ) -> np.ndarray:
+        """sinc(L A / 2) on the grid rows from ``start``.
 
-        ``buffers`` are three rows x N arrays: float for the argument (then
-        the magnitudes), float for the sinc and bool for the sinc's zero
-        mask; the block holds as many rows as they have, up to the grid's
-        last. With ``transpose`` the rows belong to the idler, which swaps
-        the signal and idler terms: the rows are then exactly the columns of
-        the untransposed grid, because float addition commutes and the
-        pair-sum and pump factors depend on s + i alone.
+        ``buffers`` are three rows x N arrays: float for the argument, float
+        for the sinc and bool for the sinc's zero mask; the block holds as
+        many rows as they have, up to the grid's last.
         """
         argument, profile, zeros = buffers
         n = self.q_signal.size
         count = min(argument.shape[0], n - start)
-        row_term, column_term = ((self.idler_term, self.signal_term) if transpose
-                                 else (self.signal_term, self.idler_term))
-        block = np.add(row_term[start:start + count, None], column_term,
+        block = np.add(self.signal_term[start:start + count, None], self.idler_term,
                        out=argument[:count])
         block += _hankel(self.pair_term[start:], n, count)
-        block_sinc = sinc(block, out=profile[:count], zeros=zeros[:count])
-        # |P| |sinc| on real arrays is the block's magnitude, to rounding.
-        magnitude = np.abs(block_sinc, out=block)
-        magnitude *= _hankel(self.pump_magnitude[start:], n, count)
-        return block_sinc, float(np.max(magnitude))
+        return sinc(block, out=profile[:count], zeros=zeros[:count])
 
     @property
     def phase(self) -> np.ndarray | None:
@@ -186,10 +181,10 @@ class JointAmplitude:
     def base_values(self) -> np.ndarray:
         """The phase-stripped grid: the pump times all N ``sinc_rows`` at once."""
         n = self.q_signal.size
-        block, peak = self.sinc_rows(0, _buffers(_row_layout(n, n)))
-        grid = np.multiply(_hankel(self.pump_sums, n), block)
+        grid = np.multiply(_hankel(self.pump_sums, n),
+                           self.sinc_rows(0, _buffers(_row_layout(n, n))))
         # Real scalings act on the (re, im) float pairs, sparing complex arithmetic.
-        grid.view(float)[...] /= _nonzero_peak(peak)
+        grid.view(float)[...] /= self.pump_peak
         return grid
 
     @property
@@ -197,12 +192,6 @@ class JointAmplitude:
         if self.phase is None:
             return self.base_values
         return np.exp(1j * self.phase) * self.base_values
-
-
-def _nonzero_peak(peak: float) -> float:
-    if peak == 0.0:
-        raise ValidationError("joint amplitude is identically zero on this grid")
-    return peak
 
 
 def _row_layout(rows: int, n: int) -> tuple:
@@ -249,10 +238,9 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     through a Hankel view. The sinc argument L A / 2 is likewise kept as 1D
     terms, a signal term plus an idler term plus a pair-sum term read through
     the same Hankel view (``paraxial_mismatch_terms``). No N x N grid is
-    filled here. The spectral envelope is one scalar, which the unit-peak
+    filled here. The spectral envelope is one scalar, which the pump-peak
     normalization cancels, so it only decides whether the amplitude is
-    identically zero, as an all-zero pump does; a grid on which the pump and
-    the sinc never overlap is rejected when it is read. ``include_phase``
+    identically zero, as an all-zero pump does. ``include_phase``
     marks the amplitude as carrying the generation phase, the sinc argument,
     which ``JointAmplitude.phase`` sums from the same three terms on request.
     """
@@ -269,14 +257,14 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     detuning = detuning_term(freqs, crystal, model)
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
         freqs, q, q, crystal, model, paraxial_bound=paraxial_bound)
-    if spectral_envelope(freqs, pump) == 0.0 or not np.any(pump_sums):
+    if spectral_envelope(freqs, pump) == 0.0:
         raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length
     return JointAmplitude(q_signal=q, pump_sums=pump_sums,
                           signal_term=(constant - detuning + a_signal * q * q) * half_length,
                           idler_term=a_idler * q * q * half_length,
                           pair_term=-a_pump * q_sum * q_sum * half_length,
-                          freqs=freqs, crystal=crystal, include_phase=include_phase)
+                          freqs=freqs, include_phase=include_phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,14 +430,15 @@ def _hankel(line: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
 
 def _one_scanned(amplitude: JointAmplitude, positions: np.ndarray,
                  offsets: np.ndarray, chirp_scanned: np.ndarray,
-                 chirp_fixed: np.ndarray, transpose: bool) -> np.ndarray:
+                 chirp_fixed: np.ndarray) -> np.ndarray:
     """Amplitudes [scanned offset x fixed offset, scan position], one detector scanned.
 
-    The scanned photon's grid rows (the idler's with ``transpose``) are
-    streamed a block at a time, times the pump, and contracted with the fixed
-    detector's phases; the normalization is applied to the contraction. The
-    scanned detector's phase exp(i q (P + o)) splits into a per-position and
-    a per-offset factor.
+    The grid's rows belong to the scanned photon (an idler scan is handed
+    the transposed amplitude). They are streamed a block at a time, times
+    the pump, and contracted with the fixed detector's phases; the
+    normalization is applied to the contraction. The scanned detector's
+    phase exp(i q (P + o)) splits into a per-position and a per-offset
+    factor.
     """
     q = amplitude.q_signal
     n = q.size
@@ -460,15 +449,13 @@ def _one_scanned(amplitude: JointAmplitude, positions: np.ndarray,
     *buffers, block, fixed, weighted, table, detected = _buffers(_row_layout(rows, n) + (
         ((rows, n), complex), ((n, n_off), complex), ((n, n_off, n_off), complex),
         ((n, positions.size), complex), ((n_off * n_off, positions.size), complex)))
-    peak = 0.0
     for start in range(0, n, rows):
-        block_sinc, block_peak = amplitude.sinc_rows(start, buffers, transpose=transpose)
+        block_sinc = amplitude.sinc_rows(start, buffers)
         count = block_sinc.shape[0]
         pumped = np.multiply(_hankel(amplitude.pump_sums[start:], n, count), block_sinc,
                              out=block[:count])
         np.matmul(pumped, fixed_phases, out=fixed[start:start + count])
-        peak = max(peak, block_peak)
-    fixed.view(float)[...] /= _nonzero_peak(peak)
+    fixed.view(float)[...] /= amplitude.pump_peak
     scanned = offset_phases * chirp_scanned[:, None]
     np.multiply(scanned[:, :, None], fixed[:, None, :], out=weighted)
     return np.matmul(weighted.reshape(n, -1).T, _position_phases(q, positions, table),
@@ -502,9 +489,8 @@ def _both_scanned(amplitude: JointAmplitude, positions: np.ndarray,
         ((2 * n - 1, positions.size), complex), ((n_off * n_off, positions.size), complex)))
     work.fill(0.0)
     s.fill(0.0)
-    peak = 0.0
     for start in range(0, n, rows):
-        block_sinc, block_peak = amplitude.sinc_rows(start, buffers)
+        block_sinc = amplitude.sinc_rows(start, buffers)
         count = block_sinc.shape[0]
         sheared = work[:count, :count + n - 1]
         diagonals = as_strided(sheared, shape=block_sinc.shape,
@@ -514,8 +500,7 @@ def _both_scanned(amplitude: JointAmplitude, positions: np.ndarray,
         band = np.matmul(signal_phases[:, start:start + count], sheared,
                          out=product[:, :count + n - 1])
         s[:, start:start + count + n - 1] += band
-        peak = max(peak, block_peak)
-    s *= amplitude.pump_sums / _nonzero_peak(peak)
+    s *= amplitude.pump_sums / amplitude.pump_peak
     q_sum = _pair_sums(q)
     a_minus_b = np.subtract.outer(np.arange(n_off), np.arange(n_off)) + n_off - 1
     np.take(s, a_minus_b, axis=0, out=terms)
@@ -568,11 +553,14 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
     if mode == "both-together":
         detected = _both_scanned(amplitude, positions, offsets, chirp_signal, chirp_idler)
     elif mode == "signal-only":
-        detected = _one_scanned(amplitude, positions, offsets, chirp_signal, chirp_idler,
-                                transpose=False)
+        detected = _one_scanned(amplitude, positions, offsets, chirp_signal, chirp_idler)
     else:
-        detected = _one_scanned(amplitude, positions, offsets, chirp_idler, chirp_signal,
-                                transpose=True)
+        # Swapping the signal and idler terms transposes the grid exactly,
+        # since float addition commutes and the pump and pair-sum factors
+        # depend on s + i alone: the idler's rows become the signal's.
+        swapped = replace(amplitude, signal_term=amplitude.idler_term,
+                          idler_term=amplitude.signal_term)
+        detected = _one_scanned(swapped, positions, offsets, chirp_idler, chirp_signal)
     raw = (np.abs(detected) ** 2).mean(axis=0)
     return _finalize(positions, raw, mode, geometry, "oracle", warnings)
 

@@ -68,6 +68,13 @@ def _unit(divisor: float) -> _Kind:
                  lambda value: repr(_exact_unit_value(value, divisor)))
 
 
+def _open_unit_interval(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError(raw)
+    return value
+
+
 def _choice(*options: str) -> _Kind:
     # tuple.index raises ValueError for a word that is not an option.
     return _Kind(f"one of {options}", lambda raw: options[options.index(raw)])
@@ -77,10 +84,11 @@ def _choice(*options: str) -> _Kind:
 _MM = _unit(1e3)
 _UM = _unit(1e6)
 _NM = _unit(1e9)
-_FS = _unit(1e15)
 _NUMBER = _Kind("a number", float, repr)
 _INTEGER = _Kind("an integer", int)
 _TEXT = _Kind("text", str)
+# A ratio |q|/k: at 1 and beyond the wave is evanescent.
+_FRACTION = _Kind("a number between 0 and 1, exclusive", _open_unit_interval, repr)
 _BOOLEAN = _Kind("'true' or 'false'", lambda raw: _choice("true", "false").parse(raw) == "true",
                  lambda value: "true" if value else "false")
 
@@ -176,12 +184,12 @@ _CRYSTAL = _keys(CrystalSpec,
 _POLING = _Key("poling_period_um", "poling_period", _Kind(
     "a number or 'design'", lambda raw: raw if raw == "design" else _UM.parse(raw),
     _UM.format))
-*_PUMP, _PULSE = _keys(PumpSpec,
-                       ("wavelength_nm", "center_wavelength", _NM),
-                       ("waist_mm", "waist_radius", _MM),
-                       ("waist_position_mm", "waist_position", _MM),
-                       ("pulse_fs", "pulse_duration", _FS))
-_CW = _Key("cw", "is_cw", _BOOLEAN, False)
+# Every command runs at the degenerate pair, where a pulse's spectral
+# envelope is exactly 1, so the file format has no pump timing key.
+_PUMP = _keys(PumpSpec,
+              ("wavelength_nm", "center_wavelength", _NM),
+              ("waist_mm", "waist_radius", _MM),
+              ("waist_position_mm", "waist_position", _MM))
 _DETECTION = _keys(DetectionGeometry,
                    ("distance_mm", "distance", _MM),
                    ("slit_width_mm", "slit_width", _MM),
@@ -209,7 +217,7 @@ _NUMERICS = _keys(NumericsConfig,
                   ("joint_grid_samples", "joint_grid_samples", _INTEGER),
                   ("joint_q_extent", "joint_q_extent", _NUMBER),
                   ("angle_convention", "angle_convention", _choice(*CONVENTIONS)),
-                  ("paraxial_bound", "paraxial_bound", _NUMBER),
+                  ("paraxial_bound", "paraxial_bound", _FRACTION),
                   ("normalize", "normalize", _BOOLEAN))
 
 
@@ -253,9 +261,6 @@ class _Section:
         self._data = sections.get(name, {})
         self._seen: set[str] = set()
 
-    def __contains__(self, key: _Key) -> bool:
-        return key.name in self._data
-
     def get(self, key: _Key):
         """The key's value, or its default when absent; strict about its kind."""
         self._seen.add(key.name)
@@ -294,15 +299,6 @@ def _parse_crystal(section: _Section, dispersion: DispersionConfig,
             qpm_order=values["qpm_order"], model=dispersion.model)
     section.reject_unknown()
     return CrystalSpec(**values)
-
-
-def _parse_pump(section: _Section) -> PumpSpec:
-    values = section.read(_PUMP)
-    if (_PULSE in section) == section.get(_CW):
-        raise ConfigError("[pump] exactly one of 'pulse_fs' or 'cw = true' is required")
-    values["pulse_duration"] = section.get(_PULSE)
-    section.reject_unknown()
-    return PumpSpec(**values)
 
 
 def _build(section: _Section, target, keys):
@@ -350,7 +346,7 @@ def _parse_scenario_sections(sections: dict[str, dict[str, str]]) -> ScenarioCon
 
     dispersion = _parse_dispersion(_Section(sections, "dispersion"))
     numerics = _build(_Section(sections, "numerics"), NumericsConfig, _NUMERICS)
-    pump = _parse_pump(_Section(sections, "pump"))
+    pump = _build(_Section(sections, "pump"), PumpSpec, _PUMP)
     crystal = _parse_crystal(_Section(sections, "crystal"), dispersion, pump.center_wavelength)
     detection = _build(_Section(sections, "detection"), DetectionGeometry, _DETECTION)
     elements = tuple(_parse_element(_Section(sections, name)) for _, name in sorted(element_names))
@@ -369,11 +365,13 @@ def scenario_to_text(config: ScenarioConfig) -> str:
     """Canonical serialization; parsing it back reproduces the configuration."""
     crystal = _lines(config.crystal, _CRYSTAL)
     crystal.insert(1, _POLING.text(config.crystal.poling_period))
-    pump = config.pump
+    if not config.pump.is_cw:
+        raise ConfigError("cannot serialize a pump with a pulse_duration: the config "
+                          "format has no pump timing key")
     dispersion = config.dispersion
     sections = [
         ("crystal", crystal),
-        ("pump", _lines(pump, (*_PUMP, _CW if pump.is_cw else _PULSE))),
+        ("pump", _lines(config.pump, _PUMP)),
         ("detection", _lines(config.detection, _DETECTION)),
         *((f"element.{index}", _element_lines(position, element))
           for index, (position, element) in enumerate(config.elements, start=1)),

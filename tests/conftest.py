@@ -1,5 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+# pyproject.toml puts src/ on this process's path; the tests that run
+# ``python -m qpmspdc.cli`` in a child process need it there too, so that a
+# checkout runs its suite without an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "ci", deadline=None, max_examples=60,

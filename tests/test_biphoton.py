@@ -187,24 +187,18 @@ class TestBuildJointAmplitude:
             build_joint_amplitude(spectrum, pump, vacuum_crystal(), freqs,
                                   ConstantIndexModel(1.7), q_extent=2e5, samples=64)
 
-    def test_underflowing_amplitude_rejected_when_read(self):
-        # A pump of the smallest subnormal times a sinc below 1/2 rounds to 0
-        # in every cell, although the pump itself is not all zero, so only
-        # the streamed peak can tell.
+    def test_zero_pump_rejected_on_construction(self):
+        # The amplitude is divided by the pump's peak magnitude, so an
+        # all-zero pump is refused before any grid cell is computed.
         q = symmetric_q_grid(2e4, 33)
-        amplitude = JointAmplitude(
-            q_signal=q, pump_sums=np.full(2 * q.size - 1, 5e-324 + 0j),
-            signal_term=np.full(q.size, 100.0), idler_term=np.zeros(q.size),
-            pair_term=np.zeros(2 * q.size - 1), freqs=DEGENERATE,
-            crystal=vacuum_crystal())
         with pytest.raises(ValidationError, match="identically zero"):
-            amplitude.base_values
-        for mode in SCAN_MODES:
-            with pytest.raises(ValidationError, match="identically zero"):
-                coincidence_scan_oracle(amplitude, geometry(), mode)
+            JointAmplitude(q_signal=q, pump_sums=np.zeros(2 * q.size - 1, dtype=complex),
+                           signal_term=np.zeros(q.size), idler_term=np.zeros(q.size),
+                           pair_term=np.zeros(2 * q.size - 1), freqs=DEGENERATE)
 
     def test_stored_value_invariant_spot_check(self, ktp, preset1):
-        # Every stored node equals pump-transfer * sinc * envelope * phase.
+        # Every stored node equals pump-transfer * sinc * envelope * phase,
+        # divided by the pump's peak magnitude times the envelope.
         from qpmspdc.core import sinc
         from qpmspdc.phasematch import delta_kz_paraxial
 
@@ -217,10 +211,10 @@ class TestBuildJointAmplitude:
         raw = sample_pump_spectrum(
             spectrum, amplitude.q_signal[:, None] + amplitude.q_idler[None, :])
         dkz = delta_kz_paraxial(amplitude.freqs, amplitude.q_signal[:, None],
-                                amplitude.q_idler[None, :], amplitude.crystal, ktp)
-        full = raw * sinc(0.5 * amplitude.crystal.length * dkz) * envelope
-        full = full / np.max(np.abs(full))
-        expected = full * np.exp(1j * 0.5 * amplitude.crystal.length * dkz)
+                                amplitude.q_idler[None, :], preset1.crystal, ktp)
+        full = raw * sinc(0.5 * preset1.crystal.length * dkz) * envelope
+        full = full / (np.max(np.abs(raw)) * envelope)
+        expected = full * np.exp(1j * 0.5 * preset1.crystal.length * dkz)
         values = amplitude.values
         for i, j in zip(rows, cols):
             assert values[i, j] == pytest.approx(expected[i, j], abs=1e-12)
@@ -415,6 +409,34 @@ class TestOracleReference:
         expected = brute_force_oracle_rates(amplitude, detection, mode)
         assert np.max(np.abs(rates - expected)) <= 1e-12
 
+    @given(samples=st.integers(48, 97),
+           slit_width=st.sampled_from([0.0, 5e-5]),
+           signal_fraction=st.floats(0.47, 0.53),
+           detuning=st.sampled_from([0.0, 2e-5]),
+           element=st.sampled_from([None, ThinLens(0.5), MultiSlitAperture(
+               slit_width=1e-4, center_separation=2e-4, slit_count=2)]),
+           poling_period=st.just(math.inf) | st.floats(5e-3, 5e-2))
+    def test_matches_brute_force_on_generated_grids(self, samples, slit_width,
+                                                    signal_fraction, detuning,
+                                                    element, poling_period):
+        # Odd and even N, k_s != k_i, detuned pairs, lens and slit pumps. A
+        # finite poling period is off phase matching, where the amplitude
+        # peaks below 1.
+        field = gaussian_source(0.5e-3, 413e-9, grid_extent=0.02, sample_count=4096)
+        if element is not None:
+            field = apply_element(field, element)
+        freqs = FrequencyPair.from_pump(OMEGA_PUMP, signal_fraction * OMEGA_PUMP,
+                                        (1.0 - signal_fraction - detuning) * OMEGA_PUMP)
+        crystal = replace(vacuum_crystal(), poling_period=poling_period)
+        amplitude = build_joint_amplitude(
+            to_angular_spectrum(field), PUMP, crystal, freqs, ConstantIndexModel(1.7),
+            q_extent=1e5, samples=samples, include_phase=False)
+        detection = geometry(distance=0.2, slit_width=slit_width, scan_range=1e-3)
+        for mode in SCAN_MODES:
+            rates = coincidence_scan_oracle(amplitude, detection, mode).rates
+            expected = brute_force_oracle_rates(amplitude, detection, mode)
+            assert np.max(np.abs(rates - expected)) <= 1e-12, mode
+
     @pytest.mark.parametrize("samples", [816, 817])
     def test_hankel_pump_factor_matches_cellwise_interpolation(self, preset1, samples):
         spectrum = pump_spectrum(preset1)
@@ -451,9 +473,10 @@ class TestOracleReference:
             freqs, q[:, None], q[None, :], crystal, model)
         assert phase[q.size // 2, q.size // 2] != 0.0
         assert (np.min(phase) < 0.0 < np.max(phase)) == crosses_zero
-        base = sample_pump_spectrum(spectrum, q[:, None] + q[None, :]) * sinc(phase)
-        base /= np.max(np.abs(base))
+        pump = sample_pump_spectrum(spectrum, q[:, None] + q[None, :])
+        base = pump * sinc(phase) / np.max(np.abs(pump))
         assert np.max(np.abs(amplitude.base_values - base)) <= 1e-12
+        assert np.max(np.abs(amplitude.base_values)) < 1.0
 
 
     def test_blocked_fill_matches_whole_grid(self, preset1):
@@ -467,9 +490,10 @@ class TestOracleReference:
         phase = delta_kz_paraxial(freqs, q[:, None], q[None, :], crystal, model)
         phase -= n_g * freqs.delta_omega / C
         phase *= 0.5 * crystal.length
-        base = (sample_pump_spectrum(pump_spectrum(preset1), q[:, None] + q[None, :])
-                * sinc(phase) * spectral_envelope(freqs, PUMP))
-        base /= np.max(np.abs(base))
+        # The spectral envelope, one scalar, cancels in the pump-peak normalization.
+        pump = (sample_pump_spectrum(pump_spectrum(preset1), q[:, None] + q[None, :])
+                * spectral_envelope(freqs, PUMP))
+        base = pump * sinc(phase) / np.max(np.abs(pump))
         # The kept phase is summed from the sinc's 1D terms, not by the
         # whole-grid formula: equal to rounding (4.9e-15 rad measured).
         assert np.max(np.abs(amplitude.phase - phase)) <= 1e-13
@@ -479,38 +503,49 @@ class TestOracleReference:
         amplitude = detuned_817(preset1, include_phase=True)
         n = amplitude.q_signal.size
         phase = amplitude.phase
-        profile = sinc(phase)
-        peak = np.max(np.abs(profile) * _hankel(np.abs(amplitude.pump_sums), n))
-        base = _hankel(amplitude.pump_sums, n) * profile
+        peak = np.max(np.abs(amplitude.pump_sums))
+        assert amplitude.pump_peak == peak
+        base = _hankel(amplitude.pump_sums, n) * sinc(phase)
         base.view(float)[...] /= peak
         assert np.array_equal(amplitude.base_values, base)
         assert np.array_equal(amplitude.values, np.exp(1j * phase) * base)
         assert detuned_817(preset1, include_phase=False).phase is None
 
     def test_transposed_rows_match_columns(self, preset1):
-        # The idler-only stream reads the grid's columns as transposed rows:
+        # The idler-only scan streams the rows of the amplitude with its
+        # signal and idler terms swapped, which are the original's columns:
         # odd grid, partial last block, detuned pair.
         amplitude = detuned_817(preset1, include_phase=False)
+        swapped = replace(amplitude, signal_term=amplitude.idler_term,
+                          idler_term=amplitude.signal_term)
         n = amplitude.q_signal.size
         buffers = [np.empty(shape, dtype) for shape, dtype in _row_layout(300, n)]
-        grids, peaks = [], []
-        for transpose in (False, True):
+        grids = []
+        for streamed in (amplitude, swapped):
             grid = np.empty((n, n), dtype=complex)
-            peak = 0.0
             for start in range(0, n, 300):
-                block, block_peak = amplitude.sinc_rows(start, buffers, transpose=transpose)
+                block = streamed.sinc_rows(start, buffers)
                 count = block.shape[0]
-                np.multiply(_hankel(amplitude.pump_sums[start:], n, count), block,
+                np.multiply(_hankel(streamed.pump_sums[start:], n, count), block,
                             out=grid[start:start + count])
-                peak = max(peak, block_peak)
             grids.append(grid)
-            peaks.append(peak)
         assert not np.array_equal(grids[0], grids[0].T)
         assert np.array_equal(grids[1], grids[0].T)
-        assert peaks[1] == peaks[0]
+        assert swapped.pump_peak == amplitude.pump_peak
         base = grids[0]
-        base.view(float)[...] /= peaks[0]
+        base.view(float)[...] /= amplitude.pump_peak
         assert np.array_equal(amplitude.base_values, base)
+
+    def test_off_design_amplitude_peaks_below_one(self, preset1):
+        # paper-config-1's poling period is designed at 40 C. Held at 30 C,
+        # the phase-matched cell leaves the pump peak, and the amplitude,
+        # divided by the pump's peak, keeps the efficiency drop.
+        cooled = replace(preset1, crystal=replace(preset1.crystal, temperature_c=30.0))
+        on_design = joint_amplitude(preset1, include_phase=False)
+        off_design = joint_amplitude(cooled, include_phase=False)
+        # |re + i im| after scaling re and im apart: 1 to the last bit.
+        assert abs(np.max(np.abs(on_design.base_values)) - 1.0) <= 2.0**-52
+        assert 0.39 < np.max(np.abs(off_design.base_values)) < 0.40
 
 
 class TestStreaming:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +34,6 @@ temperature_c = 40
 [pump]
 wavelength_nm = 413
 waist_mm = 0.5
-pulse_fs = 200
 
 [detection]
 distance_mm = 500
@@ -53,7 +53,6 @@ class TestParsing:
         config = parse_scenario_text(MINIMAL)
         assert config.crystal.length == pytest.approx(9.6e-3)
         assert config.crystal.poling_period == pytest.approx(11.4617e-6)
-        assert config.pump.pulse_duration == pytest.approx(200e-15)
         assert config.detection.scan_step == pytest.approx(2e-5)
         assert config.numerics.grid_samples == 4096
         assert config.dispersion.kind == "ktp"
@@ -66,8 +65,8 @@ class TestParsing:
         assert config.crystal.poling_period == pytest.approx(11.468676e-6, rel=1e-6)
 
     def test_cw_pump(self):
-        text = MINIMAL.replace("pulse_fs = 200", "cw = true")
-        assert parse_scenario_text(text).pump.is_cw
+        # The format has no pump timing key; every parsed pump is CW.
+        assert parse_scenario_text(MINIMAL).pump.is_cw
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda t: t + "\n[mystery]\nvalue = 1\n", "unknown section"),
@@ -78,9 +77,6 @@ class TestParsing:
         (lambda t: t.replace("length_mm = 9.6\n", ""), "missing required key"),
         (lambda t: t.replace("[pump]\n", ""), ""),
         (lambda t: t.replace("length_mm = 9.6", "length_mm = long"), "number"),
-        (lambda t: t.replace("pulse_fs = 200", "pulse_fs = 200\ncw = true"),
-         "exactly one"),
-        (lambda t: t.replace("pulse_fs = 200", "# no pump timing"), "exactly one"),
         (lambda t: t.replace("[crystal]", "stray = 1\n[crystal]"), "outside"),
         (lambda t: t.replace("length_mm = 9.6", "length_mm"), "key = value"),
     ])
@@ -133,7 +129,6 @@ def config_texts(draw):
     signal_axis = draw(st.sampled_from("xyz"))
     idler_axis = draw(st.sampled_from([a for a in "xyz" if not type_ii or a != signal_axis]))
     step = draw(_num(1e-3, 1.0))
-    timing = draw(st.just("cw = true") | _num(10.0, 1e4).map(lambda t: f"pulse_fs = {t!r}"))
     lines = [
         "[crystal]",
         f"length_mm = {draw(_num(0.01, 100.0))!r}",
@@ -149,7 +144,6 @@ def config_texts(draw):
         f"wavelength_nm = {draw(_num(200.0, 2000.0))!r}",
         f"waist_mm = {draw(_num(0.01, 10.0))!r}",
         f"waist_position_mm = {draw(_num(-1000.0, 0.0))!r}",
-        timing,
         "[detection]",
         f"distance_mm = {draw(_num(1.0, 5000.0))!r}",
         f"slit_width_mm = {draw(_num(0.0, 1.0))!r}",
@@ -217,6 +211,14 @@ class TestRoundTrip:
         si_value = human_value / divisor
         recovered = _exact_unit_value(si_value, divisor)
         assert recovered / divisor == si_value
+
+
+    def test_pulsed_pump_is_not_serialized(self):
+        # Dropping the pulse duration silently would change the configuration.
+        config = parse_scenario_text(MINIMAL)
+        pulsed = replace(config, pump=replace(config.pump, pulse_duration=200e-15))
+        with pytest.raises(ConfigError, match="pulse_duration"):
+            scenario_to_text(pulsed)
 
 
 class TestTabulatedDispersionConfig:
@@ -561,6 +563,31 @@ class TestExitCodeContract:
         assert code == 0, capsys.readouterr().err
         assert "regime violation" in (tmp_path / "scan.csv").read_text()
 
+    @pytest.mark.parametrize("line", ["pulse_fs = 200", "cw = true"])
+    def test_removed_pump_timing_key_exits_2(self, tmp_path, capsys, line):
+        # Every command runs at the degenerate pair, where a pulse's spectral
+        # envelope is exactly 1, so these keys changed no output.
+        config = tmp_path / "old.ini"
+        config.write_text(MINIMAL.replace("waist_mm = 0.5", f"waist_mm = 0.5\n{line}"),
+                          encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--mode", "analytic",
+                               "--config", str(config), "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert f"[pump] unknown key(s): {line.split()[0]}" in err
+
+    @pytest.mark.parametrize("value", ["inf", "1e300", "1", "0", "-1", "nan"])
+    def test_paraxial_bound_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        # inf, 1e300 and 1 once switched the paraxial guards off (exit 0 at
+        # |q|/k = 0.56 here); 0, -1 and nan tripped them (exit 3).
+        config = tmp_path / "bound.ini"
+        config.write_text(_preset_with("paraxial_bound", value), encoding="utf-8")
+        code, err = self._main(capsys, "maker-fringes", "--alpha-max-deg", "80",
+                               "--alpha-step-deg", "1", "--config", str(config),
+                               "--out", str(tmp_path / "maker.csv"))
+        assert code == 2
+        assert "paraxial_bound must be a number between 0 and 1, exclusive" in err
+        assert not (tmp_path / "maker.csv").exists()
+
     @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol"])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):
         # MINIMAL ends inside [detection]; the tail tolerance lived in [numerics].
@@ -666,8 +693,7 @@ class TestJointGridClipping:
 class TestCwPump:
     def test_cw_scan_end_to_end(self, tmp_path):
         config = tmp_path / "cw.ini"
-        config.write_text(MINIMAL.replace("pulse_fs = 200", "cw = true"),
-                          encoding="utf-8")
+        config.write_text(MINIMAL, encoding="utf-8")
         out = tmp_path / "scan.csv"
         res = run_cli("coincidence-scan", "--config", str(config),
                       "--out", str(out), "--mode", "both")
