@@ -11,8 +11,8 @@ from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
 from .config import (DispersionConfig, NumericsConfig, ScenarioConfig,
                      load_scenario, parse_scenario_text, scenario_to_text)
 from .core import (AXES, VACUUM_LIGHT_SPEED, CrystalSpec, DetectionGeometry,
-                   FrequencyPair, PumpSpec, angular_frequency,
-                   gamma_from_pulse_width, sinc, vacuum_wavelength)
+                   FrequencyPair, PumpSpec, angular_frequency, sinc,
+                   vacuum_wavelength)
 from .dispersion import (ConstantIndexModel, IndexModel, KtpIndexModel,
                          TabulatedIndexModel, group_index)
 from .errors import (ConfigError, GridCompatibilityError, GridSizeError,

@@ -80,25 +80,35 @@ _REGIME_DROP = 0.05
 
 
 def spectral_envelope(freqs: FrequencyPair, pump: PumpSpec) -> float:
-    """Gaussian pulse spectrum factor exp(-delta_omega^2 / (2 gamma)).
+    """Gaussian pulse spectrum factor exp(-(delta_omega tau)^2 / 2).
 
-    A CW pump is monochromatic: 1 at zero detuning, 0 anywhere else (the
-    gamma -> 0 limit is bypassed, not evaluated).
+    A CW pump (no pulse duration) is monochromatic: 1 at zero detuning, 0
+    anywhere else.
     """
-    if pump.is_cw:
+    tau = pump.pulse_duration
+    if tau is None:
         return 1.0 if freqs.delta_omega == 0.0 else 0.0
-    return math.exp(-freqs.delta_omega**2 / (2.0 * pump.gamma))
+    return math.exp(-(freqs.delta_omega * tau) ** 2 / 2.0)
 
 
 def sample_pump_spectrum(spectrum: AngularSpectrum, q_values: np.ndarray) -> np.ndarray:
     """Pump spectrum amplitude at arbitrary q by complex linear interpolation.
 
-    Zero outside the tabulated grid; callers guard the range beforehand.
+    The spectrum is read only inside its grid, from its first node to its
+    last; the FFT grid holds N/2 nodes below zero and N/2 - 1 above. Any q
+    outside raises GridCompatibilityError with the q extent that a grid of
+    the same step would need.
     """
     q_grid = spectrum.q
     flat = np.asarray(q_values, dtype=float).ravel()
-    re = np.interp(flat, q_grid, spectrum.values.real, left=0.0, right=0.0)
-    im = np.interp(flat, q_grid, spectrum.values.imag, left=0.0, right=0.0)
+    low, high = float(flat.min()), float(flat.max())
+    if low < q_grid[0] or high > q_grid[-1]:
+        raise GridCompatibilityError(
+            f"pump spectrum grid [{q_grid[0]:.6g}, {q_grid[-1]:.6g}] rad/m cannot "
+            f"supply q from {low:.6g} to {high:.6g} rad/m",
+            required_q_extent=2.0 * (max(-low, high) + spectrum.dq))
+    re = np.interp(flat, q_grid, spectrum.values.real)
+    im = np.interp(flat, q_grid, spectrum.values.imag)
     return (re + 1j * im).reshape(np.shape(q_values))
 
 
@@ -232,8 +242,8 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     """Joint amplitude, in its 1D factors, from a pump spectrum at the crystal plane.
 
     Every node (q_s, q_i) needs the pump component at q_s + q_i, so the pump
-    spectrum grid must span twice this grid's half extent; otherwise the
-    required pump q extent is reported. On the uniform grid that sum takes
+    spectrum grid must hold every pair sum (``sample_pump_spectrum`` reports
+    the q extent it needs otherwise). On the uniform grid that sum takes
     2N-1 values, so the pump is interpolated once per value, to be read
     through a Hankel view. The sinc argument L A / 2 is likewise kept as 1D
     terms, a signal term plus an idler term plus a pair-sum term read through
@@ -245,13 +255,6 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     which ``JointAmplitude.phase`` sums from the same three terms on request.
     """
     q = symmetric_q_grid(q_extent, samples)
-    q_sum_max = 2.0 * float(np.max(np.abs(q)))
-    pump_q_max = float(np.max(np.abs(pump_spectrum.q)))
-    if q_sum_max > pump_q_max:
-        raise GridCompatibilityError(
-            f"pump spectrum grid (|q| <= {pump_q_max:.6g} rad/m) cannot supply "
-            f"q_s + q_i up to {q_sum_max:.6g} rad/m",
-            required_q_extent=2.0 * q_sum_max)
     q_sum = _pair_sums(q)
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
     detuning = detuning_term(freqs, crystal, model)

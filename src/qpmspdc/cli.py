@@ -216,9 +216,5 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,9 +8,10 @@ to SI exactly once, here. Each section's keys are described once, in a
 table that parsing, defaults and serialization all read.
 
 The crystal's ``poling_period_um`` accepts the literal token ``design``,
-which resolves to the collinear degenerate design value under the configured
-dispersion model at load time; the resolved number is what serialization
-emits, so a round trip through text reproduces the validated configuration.
+which resolves at load time to the collinear degenerate design value under
+the configured dispersion model, as its micrometre text parses back; the
+resolved number is what serialization emits, so a round trip through text
+reproduces the validated configuration.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ def _exact_unit_value(si_value: float, divisor: float) -> float:
 
     Searches a few ulps around si_value * divisor. Every SI value that was
     itself parsed from text has a preimage (the original number), so
-    configurations born from text round-trip exactly; extreme programmatic
-    floats outside any sane unit range may fall back to the nearest value.
+    configurations born from text round-trip exactly. A computed value may
+    have none, and is refused rather than written as a neighbour.
     """
     y0 = si_value * divisor
     if y0 / divisor == si_value:
@@ -50,8 +51,8 @@ def _exact_unit_value(si_value: float, divisor: float) -> float:
         down = math.nextafter(down, -math.inf)
         if down / divisor == si_value:
             return down
-    # No exact preimage within 64 ulps; round-trip tests will flag a miss.
-    return y0
+    raise ConfigError(f"{si_value!r} has no value in units of 1/{divisor:g} that "
+                      "parses back to it")
 
 
 class _Kind(NamedTuple):
@@ -292,11 +293,13 @@ def _parse_crystal(section: _Section, dispersion: DispersionConfig,
     values["poling_period"] = section.get(_POLING)
     if values["poling_period"] == "design":
         degenerate = 2.0 * pump_wavelength
-        values["poling_period"] = design_poling_period(
+        period = design_poling_period(
             pump_wavelength, degenerate, degenerate,
             pump_axis=values["pump_axis"], signal_axis=values["signal_axis"],
             idler_axis=values["idler_axis"], temperature_c=values["temperature_c"],
             qpm_order=values["qpm_order"], model=dispersion.model)
+        # The value its micrometre text parses to, so that it round-trips.
+        values["poling_period"] = _UM.parse(repr(period * 1e6))
     section.reject_unknown()
     return CrystalSpec(**values)
 
@@ -365,7 +368,7 @@ def scenario_to_text(config: ScenarioConfig) -> str:
     """Canonical serialization; parsing it back reproduces the configuration."""
     crystal = _lines(config.crystal, _CRYSTAL)
     crystal.insert(1, _POLING.text(config.crystal.poling_period))
-    if not config.pump.is_cw:
+    if config.pump.pulse_duration is not None:
         raise ConfigError("cannot serialize a pump with a pulse_duration: the config "
                           "format has no pump timing key")
     dispersion = config.dispersion

@@ -66,13 +66,6 @@ def vacuum_wavelength(omega: float) -> float:
     return 2.0 * math.pi * VACUUM_LIGHT_SPEED / omega
 
 
-def gamma_from_pulse_width(tau: float) -> float:
-    """Gaussian pulse chirp parameter 1/tau**2 for a pulse width in seconds."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValidationError(f"pulse width must be positive and finite, got {tau!r}")
-    return tau**-2
-
-
 def frozen_array(values, dtype) -> np.ndarray:
     """Read-only copy of values as an array of dtype.
 
@@ -140,7 +133,7 @@ class PumpSpec:
     is the longitudinal coordinate of the waist plane (same frame as element
     positions; crystal entrance face at z = 0, upstream negative).
     pulse_duration is the Gaussian width tau in seconds, or None for a CW
-    pump; the chirp parameter gamma = 1/tau**2 is undefined for CW.
+    pump.
     """
 
     center_wavelength: float
@@ -158,17 +151,6 @@ class PumpSpec:
         if self.pulse_duration is not None:
             _require(math.isfinite(self.pulse_duration) and self.pulse_duration > 0,
                      f"pulse duration must be positive, got {self.pulse_duration!r}")
-
-    @property
-    def is_cw(self) -> bool:
-        return self.pulse_duration is None
-
-    @property
-    def gamma(self) -> float | None:
-        """1/tau**2 in s^-2 for a pulsed pump, None for CW."""
-        if self.pulse_duration is None:
-            return None
-        return gamma_from_pulse_width(self.pulse_duration)
 
     @property
     def omega(self) -> float:

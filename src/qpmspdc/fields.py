@@ -249,12 +249,9 @@ class MultiSlitAperture:
     def span(self) -> float:
         return (self.slit_count - 1) * self.center_separation + self.slit_width
 
-    def mask(self, x: np.ndarray) -> np.ndarray:
-        centers = (np.arange(self.slit_count) - (self.slit_count - 1) / 2.0) * self.center_separation
-        open_region = np.zeros_like(x, dtype=bool)
-        for c in centers:
-            open_region |= np.abs(x - c) <= 0.5 * self.slit_width
-        return open_region.astype(float)
+    @property
+    def centers(self) -> np.ndarray:
+        return (np.arange(self.slit_count) - (self.slit_count - 1) / 2.0) * self.center_separation
 
 
 OpticalElement = ThinLens | MultiSlitAperture
@@ -270,7 +267,21 @@ def apply_element(field: SampledField, element: OpticalElement) -> SampledField:
         if element.span > field.extent:
             raise GridSizeError(
                 f"aperture span {element.span:.4g} m exceeds grid extent {field.extent:.4g} m")
-        return replace(field, values=field.values * element.mask(field.x))
+        x = field.x
+        open_region = np.zeros(x.size, dtype=bool)
+        for center in element.centers:
+            slit = np.abs(x - center) <= 0.5 * element.slit_width
+            # A slit between two samples would silently block its light.
+            if not slit.any():
+                needed = field.extent / element.slit_width
+                raise SamplingGuardError(
+                    f"slit {element.slit_width:.4g} m wide at {center:.4g} m holds no "
+                    f"sample of a grid with step {field.dx:.4g} m; the step must not "
+                    "exceed the slit width",
+                    suggested_samples=(_next_power_of_two(math.ceil(needed))
+                                       if needed <= MAX_GRID_SAMPLES else None))
+            open_region |= slit
+        return replace(field, values=field.values * open_region.astype(float))
     raise ValidationError(f"unknown optical element {element!r}")
 
 

@@ -19,7 +19,6 @@ from .config import ScenarioConfig
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
                    vacuum_wavelength)
-from .dispersion import IndexModel
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
@@ -28,35 +27,30 @@ from .phasematch import (crystal_indices, design_poling_period,
                          maker_efficiency, paraxial_mismatch_terms)
 
 
-def index_model_for(config: ScenarioConfig) -> IndexModel:
-    return config.dispersion.model
-
-
 def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
     return FrequencyPair.degenerate(config.pump.omega)
 
 
-def _crystal_exit_field(config: ScenarioConfig, model: IndexModel) -> SampledField:
+def _crystal_exit_field(config: ScenarioConfig) -> SampledField:
     """Pump field at the crystal exit face, marched through the optical train."""
     return march_to_crystal_exit(
-        config.pump, config.elements, config.crystal, model,
+        config.pump, config.elements, config.crystal, config.dispersion.model,
         grid_extent=config.numerics.grid_extent,
         sample_count=config.numerics.grid_samples)
 
 
 def pump_profile(config: ScenarioConfig) -> SampledField:
     """Pump field at the detection plane (the power-meter measurement)."""
-    return propagate(_crystal_exit_field(config, index_model_for(config)),
-                     config.detection.distance)
+    return propagate(_crystal_exit_field(config), config.detection.distance)
 
 
 def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
     """Pump angular spectrum at the crystal exit face (biphoton source)."""
-    return to_angular_spectrum(_crystal_exit_field(config, index_model_for(config)))
+    return to_angular_spectrum(_crystal_exit_field(config))
 
 
-def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
-                    model: IndexModel) -> tuple[float, int, tuple[str, ...]]:
+def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
+                    ) -> tuple[float, int, tuple[str, ...]]:
     """Joint (q_s, q_i) grid sized for the configured detection geometry.
 
     The half extent must cover three scales: the anti-diagonal reach of the
@@ -65,14 +59,16 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     position, and half the pump-sum bandwidth the scan actually consumes.
     The sample count then resolves the transport chirp at the grid edge.
     Explicit numerics overrides win. Returns (q_extent, samples, warnings);
-    the warning reports an automatic extent clipped to the pump grid.
+    the warning reports an automatic extent clipped to the pump spectrum.
     """
     detection = config.detection
     crystal = config.crystal
+    freqs = degenerate_pair(config)
     z = detection.distance
     k_dc = min(freqs.omega_signal, freqs.omega_idler) / C
     k_pump = freqs.omega_pump / C
-    _, a_signal, a_idler, _ = paraxial_mismatch_terms(freqs, 0.0, 0.0, crystal, model)
+    _, a_signal, a_idler, _ = paraxial_mismatch_terms(
+        freqs, 0.0, 0.0, crystal, config.dispersion.model)
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
     beta = 0.5 * crystal.length * (a_signal + a_idler)
     tail_target = 0.005 * math.sqrt(math.pi * k_dc / z)
@@ -81,18 +77,19 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     q_detector = 1.1 * k_dc * p_eff / z
     q_sum_half = 1.15 * k_pump * p_eff / z + 3.0 * math.sqrt(2.0 * math.pi * k_pump / z)
     half = max(u_need, q_detector) + 0.5 * q_sum_half
-    # The pump grid can only supply q_s + q_i up to its own q extent; clip the
+    # The pump spectrum supplies q_s + q_i only up to its last node, and the
+    # pair sums of a joint grid of that q extent stay below it; clip the
     # automatic size to that, and say so. The stationary wavevector of outer
     # scan positions can then fall off the grid and the oracle rates collapse
     # there.
-    pump_q_cap = math.pi * config.numerics.grid_samples / config.numerics.grid_extent
-    q_extent = config.numerics.joint_q_extent or min(2.0 * half, pump_q_cap)
+    pump_reach = float(spectrum.q[-1])
+    q_extent = config.numerics.joint_q_extent or min(2.0 * half, pump_reach)
     warnings: tuple[str, ...] = ()
-    if not config.numerics.joint_q_extent and 2.0 * half > pump_q_cap:
+    if not config.numerics.joint_q_extent and 2.0 * half > pump_reach:
         warnings = (
-            f"joint grid q extent clipped from {2.0 * half:.6g} to {pump_q_cap:.6g} rad/m, "
-            "the pump grid's pi * grid_samples / grid_extent; oracle rates at the "
-            "outer scan positions may collapse",)
+            f"joint grid q extent clipped from {2.0 * half:.6g} to {pump_reach:.6g} rad/m, "
+            "the pump spectrum's last node; oracle rates at the outer scan positions "
+            "may collapse",)
     if config.numerics.joint_grid_samples:
         samples = config.numerics.joint_grid_samples
     else:
@@ -107,25 +104,23 @@ def auto_joint_grid(config: ScenarioConfig, freqs: FrequencyPair,
     return q_extent, samples, warnings
 
 
-def _sized_joint_amplitude(config: ScenarioConfig, model: IndexModel,
-                           spectrum: AngularSpectrum, include_phase: bool
-                           ) -> tuple[JointAmplitude, tuple[str, ...]]:
+def _sized_joint_amplitude(config: ScenarioConfig, spectrum: AngularSpectrum,
+                           include_phase: bool) -> tuple[JointAmplitude, tuple[str, ...]]:
     """Joint amplitude on the automatic grid, with the grid-sizing warnings."""
-    freqs = degenerate_pair(config)
-    q_extent, samples, warnings = auto_joint_grid(config, freqs, model)
+    q_extent, samples, warnings = auto_joint_grid(config, spectrum)
     amplitude = build_joint_amplitude(
-        spectrum, config.pump, config.crystal, freqs, model,
-        q_extent=q_extent, samples=samples, include_phase=include_phase,
+        spectrum, config.pump, config.crystal, degenerate_pair(config),
+        config.dispersion.model, q_extent=q_extent, samples=samples,
+        include_phase=include_phase,
         paraxial_bound=config.numerics.paraxial_bound)
     return amplitude, warnings
 
 
 def joint_amplitude(config: ScenarioConfig, *, include_phase: bool = True,
                     spectrum: AngularSpectrum | None = None) -> JointAmplitude:
-    model = index_model_for(config)
     if spectrum is None:
-        spectrum = to_angular_spectrum(_crystal_exit_field(config, model))
-    return _sized_joint_amplitude(config, model, spectrum, include_phase)[0]
+        spectrum = pump_spectrum(config)
+    return _sized_joint_amplitude(config, spectrum, include_phase)[0]
 
 
 @dataclass(frozen=True)
@@ -141,21 +136,19 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
                     method: str = "analytic") -> CoincidenceOutput:
     if method not in ("analytic", "oracle", "both"):
         raise ValidationError(f"method must be analytic, oracle, or both, got {method!r}")
-    model = index_model_for(config)
-    freqs = degenerate_pair(config)
-    exit_field = _crystal_exit_field(config, model)
+    exit_field = _crystal_exit_field(config)
     analytic = None
     oracle = None
     if method in ("analytic", "both"):
         profile = propagate(exit_field, config.detection.distance)
         analytic = coincidence_scan_analytic(
             profile, config.detection, detectors, crystal=config.crystal,
-            model=model, freqs=freqs,
+            model=config.dispersion.model, freqs=degenerate_pair(config),
             convention=config.numerics.angle_convention,
             paraxial_bound=config.numerics.paraxial_bound)
     if method in ("oracle", "both"):
         amplitude, grid_warnings = _sized_joint_amplitude(
-            config, model, to_angular_spectrum(exit_field), include_phase=False)
+            config, to_angular_spectrum(exit_field), include_phase=False)
         oracle = coincidence_scan_oracle(amplitude, config.detection, detectors,
                                          warnings=grid_warnings)
     correlation = None
@@ -179,7 +172,7 @@ def maker_curve(config: ScenarioConfig, *, alpha_max: float,
     count = int(math.floor(steps)) + 1
     alphas = alpha_step * np.arange(count)
     freqs = degenerate_pair(config)
-    eff = maker_efficiency(alphas, freqs, config.crystal, index_model_for(config),
+    eff = maker_efficiency(alphas, freqs, config.crystal, config.dispersion.model,
                            convention=config.numerics.angle_convention,
                            paraxial_bound=config.numerics.paraxial_bound)
     eff = np.asarray(eff, dtype=float)
@@ -214,7 +207,7 @@ def estimate_fringe_period(positions: np.ndarray, rates: np.ndarray) -> float:
 
 def design_report(config: ScenarioConfig) -> dict:
     """Collinear degenerate poling-period design plus its residual check."""
-    model = index_model_for(config)
+    model = config.dispersion.model
     crystal = config.crystal
     pump_wavelength = config.pump.center_wavelength
     degenerate = 2.0 * pump_wavelength

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _hankel,
@@ -27,9 +27,8 @@ from qpmspdc.fields import (AngularSpectrum, MultiSlitAperture, ThinLens,
                             to_angular_spectrum)
 from qpmspdc.phasematch import delta_kz_paraxial
 from qpmspdc.scenarios import (auto_joint_grid, degenerate_pair,
-                               estimate_fringe_period, index_model_for,
-                               joint_amplitude, pump_profile, pump_spectrum,
-                               run_coincidence)
+                               estimate_fringe_period, joint_amplitude,
+                               pump_profile, pump_spectrum, run_coincidence)
 
 OMEGA_PUMP = angular_frequency(413e-9)
 DEGENERATE = FrequencyPair.degenerate(OMEGA_PUMP)
@@ -93,7 +92,7 @@ class TestSpectralEnvelope:
         assert spectral_envelope(DEGENERATE, PUMP) == 1.0
 
     def test_one_over_e_point(self):
-        gamma = PUMP.gamma
+        gamma = PUMP.pulse_duration ** -2
         pair = FrequencyPair(OMEGA_PUMP / 2, OMEGA_PUMP / 2,
                              delta_omega=math.sqrt(2 * gamma))
         assert spectral_envelope(pair, PUMP) == pytest.approx(math.exp(-1), rel=1e-12)
@@ -218,6 +217,45 @@ class TestBuildJointAmplitude:
         values = amplitude.values
         for i, j in zip(rows, cols):
             assert values[i, j] == pytest.approx(expected[i, j], abs=1e-12)
+
+
+class TestPumpSpectrumReach:
+    def test_read_from_first_node_to_last(self):
+        spectrum = gaussian_spectrum()
+        ends = sample_pump_spectrum(spectrum, spectrum.q[[0, -1]])
+        assert np.array_equal(ends, spectrum.values[[0, -1]])
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["below-first-node", "above-last-node"])
+    def test_one_step_past_either_end_is_refused(self, end):
+        # Past the last node the spectrum once read as 0, silently.
+        spectrum = gaussian_spectrum()
+        node = spectrum.q[end]
+        outside = node + math.copysign(spectrum.dq, node)
+        with pytest.raises(GridCompatibilityError, match="cannot supply") as err:
+            sample_pump_spectrum(spectrum, np.array([0.0, outside]))
+        assert err.value.required_q_extent > spectrum.q_extent
+
+    @given(grid_samples=st.sampled_from([2048, 4096, 8192]),
+           grid_extent_mm=st.floats(10.0, 60.0),
+           scan_range_mm=st.floats(0.5, 8.0),
+           distance_mm=st.floats(100.0, 2000.0))
+    @example(grid_samples=4096, grid_extent_mm=80.0, scan_range_mm=2.0, distance_mm=500.0)
+    def test_automatic_grids_stay_inside_the_pump_spectrum(
+            self, preset1, grid_samples, grid_extent_mm, scan_range_mm, distance_mm):
+        # With no joint_* override the automatic grid is clipped to the pump
+        # spectrum's reach, so its pair sums never leave the spectrum.
+        config = replace(
+            preset1,
+            numerics=replace(preset1.numerics, grid_samples=grid_samples,
+                             grid_extent=grid_extent_mm * 1e-3),
+            detection=replace(preset1.detection, distance=distance_mm * 1e-3,
+                              scan_range=scan_range_mm * 1e-3,
+                              scan_step=scan_range_mm * 1e-5))
+        spectrum = pump_spectrum(config)
+        q_extent, _, warnings = auto_joint_grid(config, spectrum)
+        assert q_extent <= spectrum.q[-1]
+        assert bool(warnings) == (q_extent == spectrum.q[-1])
+        joint_amplitude(config, include_phase=False, spectrum=spectrum)
 
 
 class TestScans:
@@ -368,7 +406,7 @@ def detuned_817(preset1, include_phase):
     """paper-config-1's joint amplitude for a detuned pair on an odd 817-row grid."""
     freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP)
     return build_joint_amplitude(pump_spectrum(preset1), PUMP, preset1.crystal, freqs,
-                                 index_model_for(preset1), q_extent=2.5e5, samples=817,
+                                 preset1.dispersion.model, q_extent=2.5e5, samples=817,
                                  include_phase=include_phase)
 
 
@@ -463,7 +501,7 @@ class TestOracleReference:
         # Below it the sinc argument is negative at the centre and crosses 0
         # on an ellipse off the centre; above it every term is positive.
         crystal = replace(preset1.crystal, temperature_c=temperature_c)
-        freqs, model = degenerate_pair(preset1), index_model_for(preset1)
+        freqs, model = degenerate_pair(preset1), preset1.dispersion.model
         spectrum = pump_spectrum(preset1)
         amplitude = build_joint_amplitude(spectrum, preset1.pump, crystal, freqs,
                                           model, q_extent=6e5, samples=601,
@@ -482,7 +520,7 @@ class TestOracleReference:
     def test_blocked_fill_matches_whole_grid(self, preset1):
         # An odd 817-row grid; the detuning exercises the group-index term.
         amplitude = detuned_817(preset1, include_phase=True)
-        crystal, model = preset1.crystal, index_model_for(preset1)
+        crystal, model = preset1.crystal, preset1.dispersion.model
         freqs = amplitude.freqs
         q = amplitude.q_signal
         n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
@@ -571,8 +609,7 @@ class TestStreaming:
     ])
     def test_automatic_grids_pinned(self, request, name, expected):
         config = request.getfixturevalue(name)
-        assert auto_joint_grid(config, degenerate_pair(config),
-                               index_model_for(config)) == expected
+        assert auto_joint_grid(config, pump_spectrum(config)) == expected
 
 
 class TestScanResult:

@@ -66,7 +66,7 @@ class TestParsing:
 
     def test_cw_pump(self):
         # The format has no pump timing key; every parsed pump is CW.
-        assert parse_scenario_text(MINIMAL).pump.is_cw
+        assert parse_scenario_text(MINIMAL).pump.pulse_duration is None
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda t: t + "\n[mystery]\nvalue = 1\n", "unknown section"),
@@ -212,6 +212,28 @@ class TestRoundTrip:
         recovered = _exact_unit_value(si_value, divisor)
         assert recovered / divisor == si_value
 
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_designed_period_round_trips_over_temperatures(self, preset):
+        # The 'design' token resolves to the value its micrometre text parses
+        # to; the raw design value has no such text at 22 of these 601
+        # temperatures (20.4 C among them).
+        text = scenario_to_text(load_scenario(preset))
+        text = re.sub(r"(?m)^poling_period_um = .*$", "poling_period_um = design", text)
+        misses = []
+        for step in range(601):
+            temperature = round(20.0 + 0.1 * step, 1)
+            config = parse_scenario_text(re.sub(
+                r"(?m)^temperature_c = .*$", f"temperature_c = {temperature!r}", text))
+            if parse_scenario_text(scenario_to_text(config)) != config:
+                misses.append(temperature)
+        assert misses == []
+
+    def test_value_without_unit_text_is_refused(self):
+        # The design value at 20.4 C: no micrometre text parses to it, and the
+        # nearest one reparses one ulp lower.
+        with pytest.raises(ConfigError, match="parses back"):
+            _exact_unit_value(1.1533854999905874e-05, 1e6)
 
     def test_pulsed_pump_is_not_serialized(self):
         # Dropping the pulse duration silently would change the configuration.
@@ -535,6 +557,34 @@ class TestExitCodeContract:
         assert code == 3
         assert "grid_extent_mm must be at least 30.103" in err
 
+    def test_slit_between_samples_exits_3(self, tmp_path, capsys):
+        # At 256 samples the 40 mm grid steps 156 um, and both 100 um slits
+        # of paper-config-2 fall between samples; the blank field once
+        # exited 2 with "field must carry positive total power".
+        config = tmp_path / "coarse.ini"
+        config.write_text(scenario_to_text(load_scenario("paper-config-2"))
+                          .replace("grid_samples = 8192", "grid_samples = 256"),
+                          encoding="utf-8")
+        code, err = self._main(capsys, "pump-propagate", "--config", str(config),
+                               "--out", str(tmp_path / "pump.csv"))
+        assert code == 3
+        assert "slit 0.0001 m wide" in err and "step 0.0001563 m" in err
+        assert "sample_count >= 512" in err
+
+    def test_joint_grid_past_the_pump_spectrum_exits_3(self, tmp_path, capsys):
+        # joint_q_extent is pi * grid_samples / grid_extent, one pump step past
+        # the spectrum's last node: 2 of the 1023 pair sums fall beyond it,
+        # and were once read as 0 while the scan exited 0.
+        text = _preset_with("grid_samples", "256").replace(
+            "joint_grid_samples = 0", "joint_grid_samples = 512").replace(
+            "joint_q_extent = 0.0", "joint_q_extent = 40212.385965949354")
+        config = tmp_path / "reach.ini"
+        config.write_text(text, encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
+                               "--out", str(tmp_path / "scan.csv"), "--mode", "oracle")
+        assert code == 3
+        assert "pump spectrum grid [-40212.4, 39898.2] rad/m cannot supply" in err
+
     @pytest.mark.parametrize("command", ["maker-fringes", "coincidence-scan"])
     def test_tight_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command):
         # The analytic scan's efficiency-drop check once ran under the
@@ -685,7 +735,7 @@ class TestJointGridClipping:
         code = cli.main(["coincidence-scan", "--config", str(config), "--out", str(out),
                          "--mode", "both"])
         assert code == 0
-        message = "joint grid q extent clipped from 249401 to 160850 rad/m"
+        message = "joint grid q extent clipped from 249401 to 160771 rad/m"
         assert f"warning: {message}" in capsys.readouterr().err
         assert f"# warning = {message}" in out.read_text(encoding="utf-8")
 
@@ -701,6 +751,20 @@ class TestCwPump:
         line = next(ln for ln in res.stdout.splitlines()
                     if ln.startswith("cross_correlation"))
         assert float(line.split(" = ")[1]) >= 0.98
+
+
+class TestEntryPoints:
+    def test_python_m_qpmspdc(self):
+        # ``python -m qpmspdc`` runs the same main as the installed script.
+        res = subprocess.run([sys.executable, "-m", "qpmspdc", "design-poling",
+                              "--config", "paper-config-1"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            assert cli.main(["design-poling", "--config", "paper-config-1"]) == 0
+        assert res.stdout == stdout.getvalue()
+        assert res.stdout.startswith("# poling-period design report\n")
 
 
 class TestDeterminism:

@@ -203,6 +203,22 @@ class TestElements:
         with pytest.raises(GridSizeError):
             apply_element(gaussian, MultiSlitAperture(slit_width=0.03))
 
+    def test_slit_between_samples_is_refused(self):
+        # On a 40 mm grid of 256 samples (156 um step) the outer slits of
+        # this aperture hold no sample; they once blocked their light
+        # silently, leaving only the centre slit open.
+        aperture = MultiSlitAperture(slit_width=1e-4, center_separation=2.5e-4,
+                                     slit_count=3)
+        coarse = gaussian_source(WAIST, WAVELENGTH, grid_extent=0.04, sample_count=256)
+        with pytest.raises(SamplingGuardError, match="slit 0.0001 m wide") as err:
+            apply_element(coarse, aperture)
+        assert "step 0.0001563 m" in str(err.value)
+        suggested = err.value.suggested_samples
+        assert suggested == 512 and 0.04 / suggested <= aperture.slit_width
+        fine = gaussian_source(WAIST, WAVELENGTH, grid_extent=0.04, sample_count=suggested)
+        opened = np.abs(apply_element(fine, aperture).values) > 0
+        assert np.count_nonzero(np.diff(opened.astype(int)) == 1) == 3
+
     def test_two_slit_far_field_matches_closed_form(self):
         # Uniform illumination so the Fraunhofer cos^2 x sinc^2 form applies.
         # The frame is wide enough that even the grid's highest spatial
