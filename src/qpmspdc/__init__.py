@@ -24,8 +24,7 @@ from .fields import (AngularSpectrum, MultiSlitAperture, SampledField,
                      march_to_crystal_exit, propagate, to_angular_spectrum,
                      to_sampled_field)
 from .phasematch import (design_poling_period, delta_kz_paraxial,
-                         detector_angle, efficiency_drop_over_scan,
-                         fourier_coefficient, grating_vector,
-                         maker_efficiency, mismatch_a)
+                         efficiency_drop_over_scan, fourier_coefficient,
+                         grating_vector, maker_efficiency)
 
 __version__ = "0.1.0"

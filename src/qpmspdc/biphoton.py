@@ -350,20 +350,20 @@ def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str,
 def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry,
                               mode: str, *, crystal: CrystalSpec,
                               model: IndexModel, freqs: FrequencyPair,
-                              convention: str = "external",
                               paraxial_bound: float = 0.2) -> ScanResult:
     """Transfer-law scan: |W(R)|^2 sampled from the detection-plane pump profile.
 
     Valid in the nearly collinear regime; the QPM efficiency drop across the
     scan, under the paraxial bound, is evaluated and attached as a warning
-    above 1%, with a stronger regime warning above 5%. The curve is averaged
+    above 1%, with a stronger regime warning above 5%. The detectors sit in
+    air, so the drop reads their positions as external angles, with the
+    vacuum wavenumber the oracle's transport also uses. The curve is averaged
     over the detector slit (midpoint rule).
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
     drop = efficiency_drop_over_scan(geometry.scan_range, geometry.distance,
-                                     freqs, crystal, model, convention=convention,
-                                     paraxial_bound=paraxial_bound)
+                                     freqs, crystal, model, paraxial_bound=paraxial_bound)
     warnings: list[str] = []
     if drop > _REGIME_DROP:
         warnings.append(
@@ -388,7 +388,7 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
         sample_points.shape)
     raw = intensity.mean(axis=1)
     return _finalize(positions, raw, mode, geometry, "analytic", tuple(warnings),
-                     extra={"efficiency_drop": drop, "angle_convention": convention})
+                     extra={"efficiency_drop": drop})
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:

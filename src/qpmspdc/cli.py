@@ -2,10 +2,11 @@
 
 Commands: ``maker-fringes``, ``design-poling``, ``pump-propagate``, and
 ``coincidence-scan``, each driven by a scenario config (``--config`` takes a
-file path or a bundled preset name). CSV goes to ``--out``; ``--plot`` writes
-a best-effort SVG next to it. Exit codes: 0 success, 2 configuration error
-(including an unreadable input or unwritable output path), 3 numerical or
-physical guard error. Diagnostics and warnings go to stderr.
+file path or a bundled preset name). CSV goes to ``--out``; on the three
+commands that write a CSV, ``--plot`` also writes a best-effort SVG. Exit
+codes: 0 success, 2 configuration error (including an unreadable input or
+unwritable output path), 3 numerical or physical guard error. Diagnostics
+and warnings go to stderr.
 """
 from __future__ import annotations
 
@@ -75,13 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, plotting: bool = True) -> None:
+        # Only design-poling prints without --out, and it draws nothing.
         p.add_argument("--config", required=True,
                        help=f"scenario config path or preset name {PRESET_NAMES}")
-        p.add_argument("--out", required=out_required, default=None,
+        p.add_argument("--out", required=plotting, default=None,
                        help="output file path")
-        p.add_argument("--plot", default=None, metavar="SVG",
-                       help="also write an SVG plot to this path")
+        if plotting:
+            p.add_argument("--plot", default=None, metavar="SVG",
+                           help="also write an SVG plot to this path")
 
     p = sub.add_parser("maker-fringes",
                        help="QPM efficiency versus emission angle (CSV alpha_rad,efficiency)")
@@ -93,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-poling",
                        help="collinear degenerate poling-period design report")
-    common(p, out_required=False)
+    common(p, plotting=False)
 
     p = sub.add_parser("pump-propagate",
                        help="pump intensity profile at the detection plane (CSV x_m,intensity)")

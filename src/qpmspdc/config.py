@@ -16,7 +16,7 @@ reproduces the validated configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property, partial
 from importlib import resources
 from typing import Any, Callable, NamedTuple
@@ -287,21 +287,27 @@ class _Section:
                 f"[{self.name}] unknown key(s): {', '.join(sorted(unknown))}")
 
 
+def designed_period(crystal: CrystalSpec, pump_wavelength: float,
+                    model: IndexModel) -> float:
+    """Collinear degenerate design period, as its micrometre text parses back."""
+    degenerate = 2.0 * pump_wavelength
+    period = design_poling_period(
+        pump_wavelength, degenerate, degenerate, pump_axis=crystal.pump_axis,
+        signal_axis=crystal.signal_axis, idler_axis=crystal.idler_axis,
+        temperature_c=crystal.temperature_c, qpm_order=crystal.qpm_order, model=model)
+    return _UM.parse(repr(period * 1e6))
+
+
 def _parse_crystal(section: _Section, dispersion: DispersionConfig,
                    pump_wavelength: float) -> CrystalSpec:
     values = section.read(_CRYSTAL)
-    values["poling_period"] = section.get(_POLING)
-    if values["poling_period"] == "design":
-        degenerate = 2.0 * pump_wavelength
-        period = design_poling_period(
-            pump_wavelength, degenerate, degenerate,
-            pump_axis=values["pump_axis"], signal_axis=values["signal_axis"],
-            idler_axis=values["idler_axis"], temperature_c=values["temperature_c"],
-            qpm_order=values["qpm_order"], model=dispersion.model)
-        # The value its micrometre text parses to, so that it round-trips.
-        values["poling_period"] = _UM.parse(repr(period * 1e6))
+    period = section.get(_POLING)
     section.reject_unknown()
-    return CrystalSpec(**values)
+    crystal = CrystalSpec(**values, poling_period=math.inf if period == "design" else period)
+    if period != "design":
+        return crystal
+    return replace(crystal, poling_period=designed_period(
+        crystal, pump_wavelength, dispersion.model))
 
 
 def _build(section: _Section, target, keys):

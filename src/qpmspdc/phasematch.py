@@ -125,17 +125,19 @@ def detuning_term(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel)
     return n_g * freqs.delta_omega / C
 
 
-def mismatch_a(alpha_idler, alpha_signal, freqs: FrequencyPair,
-               crystal: CrystalSpec, model: IndexModel,
-               *, convention: str = "external", paraxial_bound: float = 0.2):
-    """Phase-matching function A = delta_kz - n_g * delta_omega / c.
+def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
+                     model: IndexModel, *, convention: str = "external",
+                     paraxial_bound: float = 0.2):
+    """Normalized QPM efficiency sinc^2(L_z A(alpha)/2) on the symmetric cone.
 
-    Angles map to transverse wavevectors with opposite signs
-    (q_i = +kappa_i sin alpha_i, q_s = -kappa_s sin alpha_s) so the symmetric
-    emission cone nearly cancels the pump cross term. The pump group-index
-    term (``detuning_term``) only matters off frequency degeneracy. The
-    wavenumbers kappa are the vacuum ones (external angles) or the crystal's
-    (internal angles).
+    A = delta_kz - n_g * delta_omega / c is the phase-matching function. The
+    angle maps to transverse wavevectors with opposite signs
+    (q_i = +kappa_i sin alpha, q_s = -kappa_s sin alpha), so the symmetric
+    emission cone nearly cancels the pump cross term; the wavenumbers kappa
+    are the vacuum ones (external angles) or the crystal's (internal angles).
+    The pump group-index term (``detuning_term``) only matters off frequency
+    degeneracy. Equals 1 at alpha = 0 when the poling period solves the
+    collinear design; the first zero is the edge of the central Maker lobe.
     """
     if convention not in CONVENTIONS:
         raise ValidationError(f"angle convention must be one of {CONVENTIONS}, got {convention!r}")
@@ -143,25 +145,10 @@ def mismatch_a(alpha_idler, alpha_signal, freqs: FrequencyPair,
     if convention == "internal":
         _, n_s, n_i = crystal_indices(freqs, crystal, model)
     kappa_s, kappa_i = n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
-    q_i = kappa_i * np.sin(np.asarray(alpha_idler, dtype=float))
-    q_s = -kappa_s * np.sin(np.asarray(alpha_signal, dtype=float))
-    dkz = delta_kz_paraxial(freqs, q_s, q_i, crystal, model, paraxial_bound=paraxial_bound)
-    out = dkz - detuning_term(freqs, crystal, model)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
-                     model: IndexModel, *, convention: str = "external",
-                     paraxial_bound: float = 0.2):
-    """Normalized QPM efficiency sinc^2(L_z A(alpha)/2) on the symmetric cone.
-
-    Equals 1 at alpha = 0 when the poling period solves the collinear design;
-    the first zero is the edge of the central Maker lobe.
-    """
-    a_val = mismatch_a(alpha, alpha, freqs, crystal, model,
-                       convention=convention, paraxial_bound=paraxial_bound)
+    sin_alpha = np.sin(np.asarray(alpha, dtype=float))
+    a_val = (delta_kz_paraxial(freqs, -kappa_s * sin_alpha, kappa_i * sin_alpha,
+                               crystal, model, paraxial_bound=paraxial_bound)
+             - detuning_term(freqs, crystal, model))
     return sinc(crystal.length * np.asarray(a_val) / 2.0) ** 2
 
 
@@ -193,32 +180,25 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
     return 2.0 * math.pi * qpm_order / density
 
 
-def detector_angle(position, distance: float):
-    """Small-angle mapping p/z from detector offset to emission angle."""
-    if not distance > 0:
-        raise ValidationError(f"detection distance must be positive, got {distance!r}")
-    out = np.asarray(position, dtype=float) / distance
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def efficiency_drop_over_scan(scan_range: float, distance: float,
                               freqs: FrequencyPair, crystal: CrystalSpec,
                               model: IndexModel, *, convention: str = "external",
                               paraxial_bound: float = 0.2) -> float:
     """Worst QPM efficiency loss across a detector scan of total extent scan_range.
 
-    The scan is centred on the axis (positions +- scan_range/2); returns
-    1 - min over the scan of maker_efficiency(detector_angle(p, distance)),
-    under the same paraxial bound.
+    The scan is centred on the axis (positions +- scan_range/2); a detector
+    at offset p sees the emission angle p / distance (small angles). Returns
+    1 - min over the scan of maker_efficiency at those angles, under the same
+    paraxial bound.
     """
     if scan_range < 0:
         raise ValidationError(f"scan range must be >= 0, got {scan_range!r}")
+    if not distance > 0:
+        raise ValidationError(f"detection distance must be positive, got {distance!r}")
     if scan_range == 0.0:
         return 0.0
     positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES)
-    eff = maker_efficiency(detector_angle(positions, distance), freqs, crystal,
-                           model, convention=convention, paraxial_bound=paraxial_bound)
+    eff = maker_efficiency(positions / distance, freqs, crystal, model,
+                           convention=convention, paraxial_bound=paraxial_bound)
     return float(1.0 - np.min(eff))
 

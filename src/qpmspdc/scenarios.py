@@ -15,16 +15,16 @@ import numpy as np
 from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
                        coincidence_scan_analytic, coincidence_scan_oracle,
                        normalized_cross_correlation)
-from .config import ScenarioConfig
+from .config import ScenarioConfig, designed_period
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
                    vacuum_wavelength)
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (crystal_indices, design_poling_period,
-                         delta_kz_paraxial, fourier_coefficient,
-                         maker_efficiency, paraxial_mismatch_terms)
+from .phasematch import (crystal_indices, delta_kz_paraxial,
+                         fourier_coefficient, maker_efficiency,
+                         paraxial_mismatch_terms)
 
 
 def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
@@ -144,7 +144,6 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
         analytic = coincidence_scan_analytic(
             profile, config.detection, detectors, crystal=config.crystal,
             model=config.dispersion.model, freqs=degenerate_pair(config),
-            convention=config.numerics.angle_convention,
             paraxial_bound=config.numerics.paraxial_bound)
     if method in ("oracle", "both"):
         amplitude, grid_warnings = _sized_joint_amplitude(
@@ -206,16 +205,15 @@ def estimate_fringe_period(positions: np.ndarray, rates: np.ndarray) -> float:
 
 
 def design_report(config: ScenarioConfig) -> dict:
-    """Collinear degenerate poling-period design plus its residual check."""
+    """Collinear degenerate poling-period design plus its residual check.
+
+    The period is the one a ``design`` config resolves to, so the residual is
+    that of the crystal the scans use.
+    """
     model = config.dispersion.model
     crystal = config.crystal
     pump_wavelength = config.pump.center_wavelength
-    degenerate = 2.0 * pump_wavelength
-    period = design_poling_period(
-        pump_wavelength, degenerate, degenerate,
-        pump_axis=crystal.pump_axis, signal_axis=crystal.signal_axis,
-        idler_axis=crystal.idler_axis, temperature_c=crystal.temperature_c,
-        qpm_order=crystal.qpm_order, model=model)
+    period = designed_period(crystal, pump_wavelength, model)
     freqs = degenerate_pair(config)
     designed = replace(crystal, poling_period=period)
     residual = delta_kz_paraxial(freqs, 0.0, 0.0, designed, model)

@@ -378,6 +378,16 @@ class TestScans:
         # Neither preset's automatic joint grid is clipped to the pump grid.
         assert preset1_both.oracle.warnings == preset2_both.oracle.warnings == ()
 
+    def test_detectors_read_angles_in_air(self, preset2, preset2_both):
+        # The detectors sit in air whatever angle axis the Maker curves use,
+        # so the internal convention leaves the scan's efficiency check as it
+        # is: a 3.5% notice, no regime violation.
+        internal = replace(preset2, numerics=replace(preset2.numerics,
+                                                     angle_convention="internal"))
+        out = run_coincidence(internal, method="analytic")
+        assert out.analytic.warnings == preset2_both.analytic.warnings == (
+            "QPM efficiency varies by 3.5% across the scan (notice level 1.0%)",)
+
     def test_both_methods_share_one_pump_march(self, preset1):
         from unittest import mock
 

@@ -338,6 +338,34 @@ class TestCliDesignPoling:
         assert res.returncode == 3
         assert "phase" in res.stderr.lower()
 
+    def test_plot_is_refused(self, tmp_path):
+        # design-poling draws nothing, so --plot is not one of its options.
+        svg = tmp_path / "design.svg"
+        res = run_cli("design-poling", "--config", "paper-config-1",
+                      "--plot", str(svg))
+        assert res.returncode == 2
+        assert "unrecognized arguments: --plot" in res.stderr
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_reports_the_period_the_scans_use(self, preset):
+        # The report's period is the one a 'design' config resolves to, so
+        # its residual is that of the crystal the scans use. The raw design
+        # value is one ulp off it at about 5% of these temperatures (30-50 C
+        # in 7 mK steps).
+        from qpmspdc.scenarios import design_report
+
+        text = scenario_to_text(load_scenario(preset))
+        text = re.sub(r"(?m)^poling_period_um = .*$", "poling_period_um = design", text)
+        misses = []
+        for step in range(2858):
+            temperature = round(30.0 + 0.007 * step, 3)
+            config = parse_scenario_text(re.sub(
+                r"(?m)^temperature_c = .*$", f"temperature_c = {temperature!r}", text))
+            if design_report(config)["poling_period"] != config.crystal.poling_period:
+                misses.append(temperature)
+        assert misses == []
+
 
 class TestCliPumpPropagate:
     def test_bare_gaussian_width(self, tmp_path, ktp):

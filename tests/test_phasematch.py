@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from qpmspdc.core import (CrystalSpec, FrequencyPair, VACUUM_LIGHT_SPEED,
-                          angular_frequency, vacuum_wavelength)
+                          angular_frequency, sinc, vacuum_wavelength)
 from qpmspdc.dispersion import ConstantIndexModel, group_index
 from qpmspdc.errors import (ParaxialityError, PhaseMatchingError,
                             ValidationError)
-from qpmspdc.phasematch import (delta_kz_paraxial, design_poling_period,
-                                detector_angle, efficiency_drop_over_scan,
-                                fourier_coefficient, grating_vector,
-                                maker_efficiency, mismatch_a)
+from qpmspdc.phasematch import (crystal_indices, delta_kz_paraxial,
+                                design_poling_period, detuning_term,
+                                efficiency_drop_over_scan, fourier_coefficient,
+                                grating_vector, maker_efficiency)
 
 C = VACUUM_LIGHT_SPEED
 
@@ -44,15 +44,30 @@ def grating(poling_period, duty_cycle, order):
                        qpm_order=order, temperature_c=25.0)
 
 
+def cone_mismatch(alpha, freqs, crystal, model, convention="external"):
+    """delta_kz on the symmetric cone: q_s = -kappa_s sin(alpha), q_i = +kappa_i sin(alpha).
+
+    kappa is the vacuum wavenumber for external angles and the crystal's for
+    internal ones.
+    """
+    n_s = n_i = 1.0
+    if convention == "internal":
+        _, n_s, n_i = crystal_indices(freqs, crystal, model)
+    sin_alpha = np.sin(alpha)
+    return delta_kz_paraxial(freqs, -(n_s * freqs.omega_signal / C) * sin_alpha,
+                             (n_i * freqs.omega_idler / C) * sin_alpha, crystal, model)
+
+
 def first_maker_zero(freqs, crystal, model, convention="external"):
     """Smallest positive emission angle where the Maker profile vanishes, closed form.
 
-    On the symmetric cone A(alpha) = A0 + K sin^2(alpha) exactly (both q scale
-    with sin(alpha)), so L A / 2 = pi at sin^2(alpha0) = (2 pi / L - A0) / K.
+    At degeneracy A = delta_kz, and on the symmetric cone
+    A(alpha) = A0 + K sin^2(alpha) exactly (both q scale with sin(alpha)), so
+    L A / 2 = pi at sin^2(alpha0) = (2 pi / L - A0) / K.
     """
-    a0 = mismatch_a(0.0, 0.0, freqs, crystal, model, convention=convention)
+    a0 = cone_mismatch(0.0, freqs, crystal, model, convention)
     alpha = 1e-3
-    k = (mismatch_a(alpha, alpha, freqs, crystal, model, convention=convention)
+    k = (cone_mismatch(alpha, freqs, crystal, model, convention)
          - a0) / math.sin(alpha) ** 2
     return math.asin(math.sqrt((2.0 * math.pi / crystal.length - a0) / k))
 
@@ -138,8 +153,7 @@ class TestDeltaKz:
 
 
 class TestMismatchA:
-    def test_collinear_design_point(self, ktp, freqs, designed_crystal):
-        assert abs(mismatch_a(0.0, 0.0, freqs, designed_crystal, ktp)) < 1e-9
+    """The phase-matching function A = delta_kz - n_g delta_omega / c."""
 
     def test_matches_symmetric_specialization(self, ktp, freqs, designed_crystal):
         # Independent oracle: the degenerate symmetric-cone form with internal
@@ -158,8 +172,7 @@ class TestMismatchA:
             expected = ((pw - iw - sw) / C
                         + math.sin(alpha) ** 2 / (2 * C) * (iw + sw - (iw - sw) ** 2 / pw)
                         - 2.0 * math.pi / crystal.poling_period)
-            got = mismatch_a(alpha, alpha, freqs, crystal, ktp,
-                             convention="internal")
+            got = cone_mismatch(alpha, freqs, crystal, ktp, convention="internal")
             # 1e-12 relative, floored at the rounding noise of the collinear
             # cancellation (terms of order 2 pi / Lambda).
             tolerance = 1e-12 * abs(expected) + 1e-9
@@ -170,9 +183,10 @@ class TestMismatchA:
         detuned = FrequencyPair.from_pump(omega_pump, 0.502 * omega_pump,
                                           0.497 * omega_pump)
         n_g = group_index(ktp, 413e-9, "y", 40.0)
-        dkz = delta_kz_paraxial(detuned, 0.0, 0.0, designed_crystal, ktp)
-        a_val = mismatch_a(0.0, 0.0, detuned, designed_crystal, ktp)
-        assert a_val - dkz == pytest.approx(-n_g * detuned.delta_omega / C, rel=1e-12)
+        assert detuning_term(detuned, designed_crystal, ktp) == pytest.approx(
+            n_g * detuned.delta_omega / C, rel=1e-12)
+        degenerate = FrequencyPair.degenerate(omega_pump)
+        assert detuning_term(degenerate, designed_crystal, ktp) == 0.0
 
     def test_cross_term_vanishes_for_matched_fields(self, freqs):
         # Same axis, same frequency, same index: the pump cross term must
@@ -186,13 +200,12 @@ class TestMismatchA:
             q = (n * freqs.omega_signal / C) * math.sin(alpha)
             expected = ((n * freqs.omega_pump - 2 * n * freqs.omega_signal) / C
                         + 2 * C * q**2 / (2 * n * freqs.omega_signal))
-            got = mismatch_a(alpha, alpha, freqs, crystal, model,
-                             convention="internal")
+            got = delta_kz_paraxial(freqs, -q, q, crystal, model)
             assert got == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_unknown_convention(self, ktp, freqs, designed_crystal):
         with pytest.raises(ValidationError):
-            mismatch_a(0.0, 0.0, freqs, designed_crystal, ktp, convention="bogus")
+            maker_efficiency(0.0, freqs, designed_crystal, ktp, convention="bogus")
 
 
 class TestMakerEfficiency:
@@ -231,6 +244,22 @@ class TestMakerEfficiency:
         eff = maker_efficiency(alphas, freqs, designed_crystal, ktp)
         assert np.all(np.diff(eff) < 0)
 
+    @pytest.mark.parametrize("convention", ["external", "internal"])
+    def test_detuned_profile_is_sinc_of_a(self, ktp, designed_crystal, convention):
+        # Off degeneracy, sinc^2(L (delta_kz - n_g delta_omega / c) / 2).
+        omega_pump = angular_frequency(413e-9)
+        detuned = FrequencyPair.from_pump(omega_pump, 0.5 * omega_pump,
+                                          0.4999 * omega_pump)
+        n_g = group_index(ktp, 413e-9, "y", 40.0)
+        alphas = np.linspace(0.0, 5e-3, 11)
+        a_val = (cone_mismatch(alphas, detuned, designed_crystal, ktp, convention)
+                 - n_g * detuned.delta_omega / C)
+        expected = sinc(designed_crystal.length * a_val / 2.0) ** 2
+        got = maker_efficiency(alphas, detuned, designed_crystal, ktp,
+                               convention=convention)
+        assert 0.05 < got[0] < 0.95
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
+
 
 class TestDesignPolingPeriod:
     def test_reproduces_reference_crystal(self, ktp):
@@ -255,25 +284,18 @@ class TestDesignPolingPeriod:
         assert int(np.argmin(residuals)) == 100
 
 
-class TestDetectorMapping:
-    def test_small_angle_mapping(self):
-        assert detector_angle(3e-3, 1.0) == 3e-3
-
-    def test_zero(self):
-        assert detector_angle(0.0, 1.0) == 0.0
-
-    def test_linearity(self):
-        p = np.array([1e-3, 2e-3, 4e-3])
-        np.testing.assert_allclose(detector_angle(p, 0.5), p / 0.5, rtol=1e-15)
-
-    def test_requires_positive_distance(self):
-        with pytest.raises(ValidationError):
-            detector_angle(1e-3, 0.0)
-
-
 class TestEfficiencyDrop:
     def test_zero_range(self, ktp, freqs, designed_crystal):
         assert efficiency_drop_over_scan(0.0, 1.0, freqs, designed_crystal, ktp) == 0.0
+
+    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    def test_requires_positive_distance(self, ktp, freqs, designed_crystal, distance):
+        # Refused before the zero-range shortcut: a detector at no distance
+        # sees no angle.
+        with pytest.raises(ValidationError, match="distance must be positive"):
+            efficiency_drop_over_scan(0.0, distance, freqs, designed_crystal, ktp)
+        with pytest.raises(ValidationError, match="distance must be positive"):
+            efficiency_drop_over_scan(3e-3, distance, freqs, designed_crystal, ktp)
 
     def test_reference_scan_stays_below_one_percent(self, ktp, freqs,
                                                    designed_crystal):
