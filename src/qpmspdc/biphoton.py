@@ -226,11 +226,12 @@ def _buffers(layout) -> list[np.ndarray]:
 
 def symmetric_q_grid(q_extent: float, samples: int) -> np.ndarray:
     """Centred uniform q grid of total extent q_extent with ``samples`` nodes."""
-    if not (math.isfinite(q_extent) and q_extent > 0):
-        raise ValidationError(f"q extent must be positive, got {q_extent!r}")
     if not (isinstance(samples, int) and 2 <= samples <= MAX_JOINT_SAMPLES):
         raise ValidationError(f"sample count must be an integer from 2 to "
                               f"{MAX_JOINT_SAMPLES}, got {samples!r}")
+    # A positive extent can still be too small to part its samples.
+    if not (math.isfinite(q_extent) and q_extent / samples > 0):
+        raise ValidationError(f"q extent must part {samples} samples, got {q_extent!r}")
     return centered_grid(samples, q_extent / samples)
 
 
@@ -272,17 +273,20 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Normalized coincidence rate versus detector position.
+    """Normalized coincidence rate versus detector position, and how it was made.
 
-    positions strictly increase; rates are normalized to unit maximum with
-    the raw peak recorded in metadata["normalization_peak"]. metadata also
-    carries the method tag, the geometry snapshot, and any regime warnings.
+    ``rates`` are normalized to unit maximum at strictly increasing
+    ``positions``; ``normalization_peak`` is the raw peak, ``method`` the
+    route ("analytic" or "oracle") and ``warnings`` its regime or grid-sizing
+    warnings. The detection geometry is the config's, not copied here.
     """
 
     positions: np.ndarray
     rates: np.ndarray
     mode: str
-    metadata: dict
+    method: str
+    normalization_peak: float
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         positions = frozen_array(self.positions, float)
@@ -299,10 +303,6 @@ class ScanResult:
             raise ValidationError("rates must be normalized to unit maximum")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "rates", rates)
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return tuple(self.metadata.get("warnings", ()))
 
 
 def scan_positions(geometry: DetectionGeometry) -> np.ndarray:
@@ -326,25 +326,15 @@ def _mean_position_map(mode: str, positions: np.ndarray) -> np.ndarray:
     return 0.5 * positions
 
 
-def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str,
-              geometry: DetectionGeometry, method: str,
-              warnings: tuple[str, ...], extra: dict | None = None) -> ScanResult:
+def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str, method: str,
+              warnings: tuple[str, ...]) -> ScanResult:
+    """ScanResult of ``raw`` over its peak, with ``method``, ``normalization_peak``
+    and ``warnings`` set; the detection geometry stays with the config."""
     peak = float(np.max(raw))
     if peak <= 0.0:
         raise ValidationError("scan produced no signal; grids or geometry are inconsistent")
-    metadata = {
-        "method": method,
-        "detector_distance_m": geometry.distance,
-        "slit_width_m": geometry.slit_width,
-        "scan_range_m": geometry.scan_range,
-        "scan_step_m": geometry.scan_step,
-        "normalization_peak": peak,
-        "warnings": warnings,
-    }
-    if extra:
-        metadata.update(extra)
-    return ScanResult(positions=positions, rates=raw / peak, mode=mode,
-                      metadata=metadata)
+    return ScanResult(positions=positions, rates=raw / peak, mode=mode, method=method,
+                      normalization_peak=peak, warnings=warnings)
 
 
 def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry,
@@ -379,7 +369,8 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
     x = profile.x
     if sample_points.min() < x[0] or sample_points.max() > x[-1]:
         reach = float(np.max(np.abs(sample_points)))
-        needed_mm = math.ceil(2e6 * reach / (1.0 - 2.0 / x.size)) / 1e3
+        # np.ceil keeps an unbounded reach infinite, where math.ceil raises.
+        needed_mm = np.ceil(2e6 * reach / (1.0 - 2.0 / x.size)) / 1e3
         raise GridCompatibilityError(
             f"the scan reads the pump profile out to |x| = {reach * 1e3:.6g} mm, "
             f"beyond its grid [{x[0] * 1e3:.6g}, {x[-1] * 1e3:.6g}] mm; "
@@ -387,8 +378,7 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
     intensity = np.interp(sample_points.ravel(), x, profile.intensity).reshape(
         sample_points.shape)
     raw = intensity.mean(axis=1)
-    return _finalize(positions, raw, mode, geometry, "analytic", tuple(warnings),
-                     extra={"efficiency_drop": drop})
+    return _finalize(positions, raw, mode, "analytic", tuple(warnings))
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:
@@ -565,7 +555,7 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
                           idler_term=amplitude.signal_term)
         detected = _one_scanned(swapped, positions, offsets, chirp_idler, chirp_signal)
     raw = (np.abs(detected) ** 2).mean(axis=0)
-    return _finalize(positions, raw, mode, geometry, "oracle", warnings)
+    return _finalize(positions, raw, mode, "oracle", warnings)
 
 
 def normalized_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:

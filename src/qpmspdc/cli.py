@@ -18,6 +18,7 @@ import numpy as np
 
 from .biphoton import ScanResult
 from .config import PRESET_NAMES, load_scenario
+from .core import DetectionGeometry
 from .errors import GuardError, ValidationError
 from .scenarios import (design_report, maker_curve, pump_profile,
                         run_coincidence)
@@ -42,28 +43,28 @@ def write_table(path, header, names, columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_scan_csv(result: ScanResult, path, *, raw: bool = False,
-                   companion: ScanResult | None = None) -> None:
-    """Scan CSV: metadata header, with each scan's warnings, then p_m,rate rows.
+def write_scan_csv(result: ScanResult, path, detection: DetectionGeometry, *,
+                   raw: bool = False, companion: ScanResult | None = None) -> None:
+    """Scan CSV: a header of how the scan was made, then p_m,rate rows.
 
+    The header holds mode, method, the config's ``detection`` distance and slit
+    width, normalization peak, each scan's warnings and the companion method.
     A companion scan (same positions, other method) adds a second rate column;
-    ``raw`` undoes the unit-peak normalization using the stored peak.
+    ``raw`` undoes the unit-peak normalization using each ``normalization_peak``.
     """
-    meta = result.metadata
-    header = [("mode", result.mode), ("method", meta["method"]),
-              ("detector_distance_m", meta["detector_distance_m"]),
-              ("slit_width_m", meta["slit_width_m"]),
-              ("normalization_peak", meta["normalization_peak"])]
+    header = [("mode", result.mode), ("method", result.method),
+              ("detector_distance_m", detection.distance),
+              ("slit_width_m", detection.slit_width),
+              ("normalization_peak", result.normalization_peak)]
     scans = [result] if companion is None else [result, companion]
     header += [("warning", warning) for scan in scans for warning in scan.warnings]
     names = ["p_m", "rate"]
     if companion is not None:
         if not np.array_equal(companion.positions, result.positions):
             raise ValidationError("companion scan must share the position grid")
-        header.append(("companion_method", companion.metadata["method"]))
+        header.append(("companion_method", companion.method))
         names.append("rate_companion")
-    rates = [scan.rates * (scan.metadata["normalization_peak"] if raw else 1.0)
-             for scan in scans]
+    rates = [scan.rates * (scan.normalization_peak if raw else 1.0) for scan in scans]
     write_table(path, header, names, [result.positions, *rates])
 
 
@@ -175,24 +176,18 @@ def _cmd_coincidence_scan(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     output = run_coincidence(config, detectors=_MODE_TAGS[args.detectors],
                              method=args.mode)
-    primary = output.analytic if output.analytic is not None else output.oracle
-    companion = output.oracle if args.mode == "both" else None
-    for result in (output.analytic, output.oracle):
-        if result is None:
-            continue
-        for warning in result.warnings:
+    # The analytic scan leads; with --mode both the oracle's is its companion.
+    scans = [scan for scan in (output.analytic, output.oracle) if scan is not None]
+    for scan in scans:
+        for warning in scan.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    write_scan_csv(primary, args.out, raw=not config.numerics.normalize,
-                   companion=companion)
+    write_scan_csv(scans[0], args.out, config.detection, raw=not config.numerics.normalize,
+                   companion=scans[1] if len(scans) == 2 else None)
     if output.correlation is not None:
         print(f"cross_correlation = {output.correlation!r}")
     if args.plot:
-        curves = []
-        if output.analytic is not None:
-            curves.append(("analytic", output.analytic.rates))
-        if output.oracle is not None:
-            curves.append(("oracle", output.oracle.rates))
-        write_line_plot(args.plot, primary.positions * 1e3, curves,
+        write_line_plot(args.plot, scans[0].positions * 1e3,
+                        [(scan.method, scan.rates) for scan in scans],
                         title="Coincidence scan", x_label="p (mm)",
                         y_label="normalized rate")
     return 0

@@ -69,11 +69,13 @@ def _unit(divisor: float) -> _Kind:
                  lambda value: repr(_exact_unit_value(value, divisor)))
 
 
-def _open_unit_interval(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value < 1.0:
-        raise ValueError(raw)
-    return value
+def _bounded(expected: str, accepts: Callable[[float], bool]) -> _Kind:
+    """A number that ``accepts`` holds for."""
+    def parse(raw: str) -> float:
+        if not accepts(value := float(raw)):
+            raise ValueError(raw)
+        return value
+    return _Kind(expected, parse, repr)
 
 
 def _choice(*options: str) -> _Kind:
@@ -89,7 +91,9 @@ _NUMBER = _Kind("a number", float, repr)
 _INTEGER = _Kind("an integer", int)
 _TEXT = _Kind("text", str)
 # A ratio |q|/k: at 1 and beyond the wave is evanescent.
-_FRACTION = _Kind("a number between 0 and 1, exclusive", _open_unit_interval, repr)
+_FRACTION = _bounded("a number between 0 and 1, exclusive", lambda value: 0.0 < value < 1.0)
+# A size whose 0 selects automatic sizing.
+_SIZE = _bounded("a finite number >= 0", lambda value: 0.0 <= value < math.inf)
 _BOOLEAN = _Kind("'true' or 'false'", lambda raw: _choice("true", "false").parse(raw) == "true",
                  lambda value: "true" if value else "false")
 
@@ -179,8 +183,7 @@ _CRYSTAL = _keys(CrystalSpec,
                  ("temperature_c", "temperature_c", _NUMBER),
                  ("pump_axis", "pump_axis", _TEXT),
                  ("signal_axis", "signal_axis", _TEXT),
-                 ("idler_axis", "idler_axis", _TEXT),
-                 ("type_ii", "type_ii", _BOOLEAN))
+                 ("idler_axis", "idler_axis", _TEXT))
 # Written second and read last, since the 'design' token needs the other keys.
 _POLING = _Key("poling_period_um", "poling_period", _Kind(
     "a number or 'design'", lambda raw: raw if raw == "design" else _UM.parse(raw),
@@ -216,7 +219,7 @@ _NUMERICS = _keys(NumericsConfig,
                   ("grid_samples", "grid_samples", _INTEGER),
                   ("grid_extent_mm", "grid_extent", _MM),
                   ("joint_grid_samples", "joint_grid_samples", _INTEGER),
-                  ("joint_q_extent", "joint_q_extent", _NUMBER),
+                  ("joint_q_extent", "joint_q_extent", _SIZE),
                   ("angle_convention", "angle_convention", _choice(*CONVENTIONS)),
                   ("paraxial_bound", "paraxial_bound", _FRACTION),
                   ("normalize", "normalize", _BOOLEAN))

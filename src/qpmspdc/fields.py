@@ -261,6 +261,9 @@ def apply_element(field: SampledField, element: OpticalElement) -> SampledField:
     """Apply a thin optical element at the field's plane."""
     if isinstance(element, ThinLens):
         k = 2.0 * math.pi / field.wavelength
+        if not math.isfinite(k * float(field.x[0]) ** 2 / (2.0 * element.focal_length)):
+            raise ValidationError(f"focal length {element.focal_length!r} m overflows the "
+                                  "lens phase at the grid edge")
         factor = np.exp(-1j * k * field.x**2 / (2.0 * element.focal_length))
         return replace(field, values=field.values * factor)
     if isinstance(element, MultiSlitAperture):

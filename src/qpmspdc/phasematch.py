@@ -149,6 +149,8 @@ def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
     a_val = (delta_kz_paraxial(freqs, -kappa_s * sin_alpha, kappa_i * sin_alpha,
                                crystal, model, paraxial_bound=paraxial_bound)
              - detuning_term(freqs, crystal, model))
+    if not math.isfinite(crystal.length * float(np.max(np.abs(a_val)))):
+        raise ValidationError(f"crystal length {crystal.length!r} m overflows L A / 2")
     return sinc(crystal.length * np.asarray(a_val) / 2.0) ** 2
 
 
@@ -197,6 +199,8 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
         raise ValidationError(f"detection distance must be positive, got {distance!r}")
     if scan_range == 0.0:
         return 0.0
+    if not 0.5 * scan_range / distance < 0.5 * math.pi:  # the angle p / distance wraps
+        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
     positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES)
     eff = maker_efficiency(positions / distance, freqs, crystal, model,
                            convention=convention, paraxial_bound=paraxial_bound)

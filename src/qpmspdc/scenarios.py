@@ -72,7 +72,9 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
     beta = 0.5 * crystal.length * (a_signal + a_idler)
     tail_target = 0.005 * math.sqrt(math.pi * k_dc / z)
-    u_need = (1.0 / (2.0 * beta * (z / k_dc) * tail_target)) ** (1.0 / 3.0)
+    # A sinc curvature that underflows to 0 asks for an unbounded extent.
+    curvature = 2.0 * beta * (z / k_dc) * tail_target
+    u_need = (1.0 / curvature) ** (1.0 / 3.0) if curvature else math.inf
     p_eff = 0.5 * detection.scan_range + 0.5 * detection.slit_width
     q_detector = 1.1 * k_dc * p_eff / z
     q_sum_half = 1.15 * k_pump * p_eff / z + 3.0 * math.sqrt(2.0 * math.pi * k_pump / z)
@@ -93,7 +95,8 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     if config.numerics.joint_grid_samples:
         samples = config.numerics.joint_grid_samples
     else:
-        dq_chirp = 0.8 * math.pi * k_dc / (z * 0.5 * q_extent)
+        edge_chirp = z * 0.5 * q_extent
+        dq_chirp = 0.8 * math.pi * k_dc / edge_chirp if edge_chirp else math.inf
         dq_position = 0.8 * math.pi / p_eff
         needed = q_extent / min(dq_chirp, dq_position)
         if not needed <= MAX_JOINT_SAMPLES:

@@ -627,18 +627,19 @@ class TestScanResult:
         with pytest.raises(ValidationError):
             ScanResult(positions=np.array([0.0, 0.0, 1.0]),
                        rates=np.array([0.5, 1.0, 0.5]), mode="both-together",
-                       metadata={})
+                       method="analytic", normalization_peak=1.0)
 
     def test_rates_must_be_normalized(self):
         with pytest.raises(ValidationError):
             ScanResult(positions=np.array([0.0, 1.0]),
                        rates=np.array([0.2, 0.4]), mode="both-together",
-                       metadata={})
+                       method="analytic", normalization_peak=1.0)
 
     def test_mode_tag_checked(self):
         with pytest.raises(ValidationError):
             ScanResult(positions=np.array([0.0, 1.0]),
-                       rates=np.array([0.5, 1.0]), mode="sideways", metadata={})
+                       rates=np.array([0.5, 1.0]), mode="sideways",
+                       method="analytic", normalization_peak=1.0)
 
     def test_scan_positions_cover_range(self):
         geo = geometry(scan_range=2e-3, scan_step=1e-4)
@@ -649,9 +650,9 @@ class TestScanResult:
 
 
 class TestCsvOutputs:
-    def test_scan_csv(self, tmp_path, preset1_both):
+    def test_scan_csv(self, tmp_path, preset1, preset1_both):
         path = tmp_path / "scan.csv"
-        write_scan_csv(preset1_both.analytic, path)
+        write_scan_csv(preset1_both.analytic, path, preset1.detection)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert "# mode = both-together" in lines
         header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
@@ -660,9 +661,24 @@ class TestCsvOutputs:
         assert float(row[0]) == preset1_both.analytic.positions[0]
         assert float(row[1]) == preset1_both.analytic.rates[0]
 
-    def test_scan_csv_with_companion(self, tmp_path, preset1_both):
-        path = tmp_path / "scan_both.csv"
-        write_scan_csv(preset1_both.analytic, path, companion=preset1_both.oracle)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-        assert lines[header] == "p_m,rate,rate_companion"
+    def test_scan_csv_with_companion(self, tmp_path, preset1, preset1_both):
+        # Every header line, in its place: the geometry comes from the config,
+        # the rest from the scans. An 80 mm pump grid clips the joint grid.
+        coarse = replace(preset1, numerics=replace(preset1.numerics, grid_extent=0.08))
+        clipped = ("joint grid q extent clipped from 249401 to 160771 rad/m, the pump "
+                   "spectrum's last node; oracle rates at the outer scan positions may "
+                   "collapse")
+        for config, output, warnings in (
+                (preset1, preset1_both, ()),
+                (coarse, run_coincidence(coarse, method="both"), (clipped,))):
+            path = tmp_path / "scan_both.csv"
+            write_scan_csv(output.analytic, path, config.detection, companion=output.oracle)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+            assert lines[:header] == [
+                "# mode = both-together", "# method = analytic",
+                "# detector_distance_m = 0.5", "# slit_width_m = 0.0001",
+                f"# normalization_peak = {output.analytic.normalization_peak!r}",
+                *(f"# warning = {warning}" for warning in warnings),
+                "# companion_method = oracle"]
+            assert lines[header] == "p_m,rate,rate_companion"

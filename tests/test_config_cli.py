@@ -24,6 +24,7 @@ from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
                             WavelengthWindowError)
 from qpmspdc.fields import MultiSlitAperture, ThinLens
 from qpmspdc.phasematch import CONVENTIONS
+from qpmspdc.scenarios import auto_joint_grid, pump_spectrum
 
 MINIMAL = """
 [crystal]
@@ -125,9 +126,6 @@ def _num(lo, hi):
 @st.composite
 def config_texts(draw):
     """Valid scenario text over every section and key the parser accepts."""
-    type_ii = draw(st.booleans())
-    signal_axis = draw(st.sampled_from("xyz"))
-    idler_axis = draw(st.sampled_from([a for a in "xyz" if not type_ii or a != signal_axis]))
     step = draw(_num(1e-3, 1.0))
     lines = [
         "[crystal]",
@@ -137,9 +135,8 @@ def config_texts(draw):
         f"qpm_order = {draw(st.integers(1, 9))}",
         f"temperature_c = {draw(_num(-50.0, 200.0))!r}",
         f"pump_axis = {draw(st.sampled_from('xyz'))}",
-        f"signal_axis = {signal_axis}",
-        f"idler_axis = {idler_axis}",
-        f"type_ii = {str(type_ii).lower()}",
+        f"signal_axis = {draw(st.sampled_from('xyz'))}",
+        f"idler_axis = {draw(st.sampled_from('xyz'))}",
         "[pump]",
         f"wavelength_nm = {draw(_num(200.0, 2000.0))!r}",
         f"waist_mm = {draw(_num(0.01, 10.0))!r}",
@@ -666,16 +663,25 @@ class TestExitCodeContract:
         assert "paraxial_bound must be a number between 0 and 1, exclusive" in err
         assert not (tmp_path / "maker.csv").exists()
 
-    @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol"])
+    @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol",
+                                     "type_ii"])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):
-        # MINIMAL ends inside [detection]; the tail tolerance lived in [numerics].
-        section = "[numerics]\n" if key == "spectral_tail_tol" else ""
+        # MINIMAL ends inside [detection], where the filter keys lived; the
+        # tail tolerance lived in [numerics]. type_ii, in [crystal], only
+        # checked the axes, which alone set the crystal type.
+        if key == "type_ii":
+            section = "crystal"
+            text = MINIMAL.replace("[crystal]\n", "[crystal]\ntype_ii = true\n")
+        elif key == "spectral_tail_tol":
+            section, text = "numerics", f"{MINIMAL}[numerics]\n{key} = 1\n"
+        else:
+            section, text = "detection", f"{MINIMAL}{key} = 1\n"
         config = tmp_path / "old.ini"
-        config.write_text(f"{MINIMAL}{section}{key} = 1\n", encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         code, err = self._main(capsys, "pump-propagate", "--config", str(config),
                                "--out", str(tmp_path / "pump.csv"))
         assert code == 2
-        assert f"unknown key(s): {key}" in err
+        assert f"[{section}] unknown key(s): {key}" in err
 
 
 def _error_types(base=SimulationError):
@@ -707,12 +713,16 @@ class TestErrorFamilies:
         assert stderr.getvalue() == f"error: {error}\n"
 
 
-# Values at and past the edges of every numeric key's range.
-_EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+# Values at and past the edges of every numeric key's range, the smallest
+# subnormal and the largest double among them.
+_EXTREMES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e300",
+             "1.7976931348623157e308")
 _NUMERIC_LINE = re.compile(r"(?m)^(\w+) = ([-+.\de]+)$")
-# Every command but the oracle, whose joint grid can take seconds to fill.
-_PROPERTY_COMMANDS = (["maker-fringes"], ["design-poling"], ["pump-propagate"],
-                      ["coincidence-scan", "--mode", "analytic"])
+# The commands besides the scan. The scan runs both methods where the joint
+# grid has at most _SMALL_JOINT_GRID samples a side (a larger one takes
+# seconds to fill), and the transfer law alone elsewhere.
+_PROPERTY_COMMANDS = (["maker-fringes"], ["design-poling"], ["pump-propagate"])
+_SMALL_JOINT_GRID = 1024
 # An index table spanning every wavelength config_texts() can ask for.
 _WIDE_TABLE = "".join(f"{nm} {axis} {n}\n" for axis in "xyz"
                       for nm, n in ((100, 2.0), (10000, 1.7)))
@@ -725,6 +735,20 @@ def extreme_config_texts(draw):
     match = draw(st.sampled_from(list(_NUMERIC_LINE.finditer(text))))
     value = draw(st.sampled_from(_EXTREMES))
     return f"{text[:match.start(2)]}{value}{text[match.end(2):]}"
+
+
+def _joint_grid_is_small(path) -> bool:
+    """Whether the scenario's joint grid has at most _SMALL_JOINT_GRID samples a side.
+
+    A scenario that loading, the pump march or the grid sizing refuses counts
+    as small: the scan stops at that refusal, before any joint grid exists.
+    """
+    try:
+        config = load_scenario(str(path))
+        samples = auto_joint_grid(config, pump_spectrum(config))[1]
+    except (ValidationError, GuardError):
+        return True
+    return samples <= _SMALL_JOINT_GRID
 
 
 class TestExitCodeProperty:
@@ -740,12 +764,25 @@ class TestExitCodeProperty:
     @example(text=_preset_with("grid_extent_mm", "1e300"))
     @example(text=_preset_with("length_mm", "1e300"))
     @example(text=_preset_with("wavelength_nm", "1e-300"))
+    # Each of these once raised from the scan: a division by a zero grid
+    # step or sinc curvature, or math.ceil of an infinite grid extent.
+    @example(text=_preset_with("joint_q_extent", "inf"))
+    @example(text=_preset_with("joint_q_extent", "-inf"))
+    @example(text=_preset_with("joint_q_extent", "5e-324"))
+    @example(text=_preset_with("length_mm", "1e-320"))
+    @example(text=_preset_with("slit_width_mm", "1.7976931348623157e308"))
+    # Each of these once overflowed to inf and on to NaN: the Maker curve
+    # (24 NaN rows, exit 0), the scan's detector angles and the lens phase.
+    @example(text=_preset_with("length_mm", "1.7976931348623157e308"))
+    @example(text=_preset_with("distance_mm", "1e-320"))
+    @example(text=_preset_with("focal_length_mm", "1e-320"))
     def test_extreme_value_exits_0_2_or_3(self, table_path, text):
         # Each command either succeeds or reports the value; none raises.
         text = text.replace("tables/index.txt", str(table_path))
         config = table_path.with_name("scenario.ini")
         config.write_text(text, encoding="utf-8")
-        for command in _PROPERTY_COMMANDS:
+        method = "both" if _joint_grid_is_small(config) else "analytic"
+        for command in (*_PROPERTY_COMMANDS, ["coincidence-scan", "--mode", method]):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = cli.main([*command, "--config", str(config), "--out", os.devnull])
             assert code in (0, 2, 3), (command, text)

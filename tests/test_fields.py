@@ -159,6 +159,11 @@ class TestPropagate:
 
 
 class TestElements:
+    def test_overflowing_lens_phase_refused(self, gaussian):
+        # k x^2 / 2f at the grid edge once overflowed and filled the field with NaN.
+        with pytest.raises(ValidationError, match="overflows the lens phase"):
+            apply_element(gaussian, ThinLens(focal_length=1e-323))
+
     def test_huge_focal_length_is_identity(self, gaussian):
         out = apply_element(gaussian, ThinLens(focal_length=1e9))
         assert np.max(np.abs(out.values - gaussian.values)) < 1e-8

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,12 @@ class TestMakerEfficiency:
         assert maker_efficiency(0.0, freqs, designed_crystal, ktp) == pytest.approx(
             1.0, abs=1e-15)
 
+    def test_overflowing_argument_refused(self, ktp, freqs, designed_crystal):
+        # An infinite L A / 2 once made every off-axis efficiency NaN.
+        huge = replace(designed_crystal, length=1.7976931348623157e308)
+        with pytest.raises(ValidationError, match="overflows L A / 2"):
+            maker_efficiency(np.array([0.0, 1e-3]), freqs, huge, ktp)
+
     def test_first_zero(self, ktp, freqs, designed_crystal):
         for convention in ("external", "internal"):
             alpha0 = first_maker_zero(freqs, designed_crystal, ktp,
@@ -287,6 +294,15 @@ class TestDesignPolingPeriod:
 class TestEfficiencyDrop:
     def test_zero_range(self, ktp, freqs, designed_crystal):
         assert efficiency_drop_over_scan(0.0, 1.0, freqs, designed_crystal, ktp) == 0.0
+
+    @pytest.mark.parametrize("scan_range,distance", [(4.0, 1.0), (2e-3, 1e-323)])
+    def test_angles_past_90_degrees_refused(self, ktp, freqs, designed_crystal,
+                                            scan_range, distance):
+        # Past pi/2 the sine of the angle p / distance falls again, so a loose
+        # paraxial bound would pass; at 1e-323 m the angle overflowed to NaN.
+        with pytest.raises(ValidationError, match="passes 90 degrees"):
+            efficiency_drop_over_scan(scan_range, distance, freqs, designed_crystal, ktp,
+                                      paraxial_bound=0.99)
 
     @pytest.mark.parametrize("distance", [0.0, -1.0])
     def test_requires_positive_distance(self, ktp, freqs, designed_crystal, distance):

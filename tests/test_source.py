@@ -43,3 +43,11 @@ def private_imports(path: Path) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_no_cross_module_private_import(module):
     assert private_imports(PACKAGE / module) == []
+
+
+# pyproject.toml declares requires-python >= 3.10; syntax that only a later
+# grammar accepts (except*, say) fails here on a newer interpreter too.
+@pytest.mark.parametrize("module", sorted(str(path.relative_to(PACKAGE))
+                                          for path in PACKAGE.rglob("*.py")))
+def test_parses_as_python_3_10(module):
+    ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=(3, 10))
