@@ -238,8 +238,7 @@ def symmetric_q_grid(q_extent: float, samples: int) -> np.ndarray:
 def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
                           crystal: CrystalSpec, freqs: FrequencyPair,
                           model: IndexModel, *, q_extent: float, samples: int,
-                          include_phase: bool = True,
-                          paraxial_bound: float = 0.2) -> JointAmplitude:
+                          include_phase: bool = True) -> JointAmplitude:
     """Joint amplitude, in its 1D factors, from a pump spectrum at the crystal plane.
 
     Every node (q_s, q_i) needs the pump component at q_s + q_i, so the pump
@@ -260,7 +259,7 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
     detuning = detuning_term(freqs, crystal, model)
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
-        freqs, q, q, crystal, model, paraxial_bound=paraxial_bound)
+        freqs, q, q, crystal, model)
     if spectral_envelope(freqs, pump) == 0.0:
         raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length
@@ -339,12 +338,11 @@ def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str, method: str,
 
 def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry,
                               mode: str, *, crystal: CrystalSpec,
-                              model: IndexModel, freqs: FrequencyPair,
-                              paraxial_bound: float = 0.2) -> ScanResult:
+                              model: IndexModel, freqs: FrequencyPair) -> ScanResult:
     """Transfer-law scan: |W(R)|^2 sampled from the detection-plane pump profile.
 
     Valid in the nearly collinear regime; the QPM efficiency drop across the
-    scan, under the paraxial bound, is evaluated and attached as a warning
+    scan, under the paraxial guard, is evaluated and attached as a warning
     above 1%, with a stronger regime warning above 5%. The detectors sit in
     air, so the drop reads their positions as external angles, with the
     vacuum wavenumber the oracle's transport also uses. The curve is averaged
@@ -353,7 +351,7 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
     drop = efficiency_drop_over_scan(geometry.scan_range, geometry.distance,
-                                     freqs, crystal, model, paraxial_bound=paraxial_bound)
+                                     freqs, crystal, model)
     warnings: list[str] = []
     if drop > _REGIME_DROP:
         warnings.append(

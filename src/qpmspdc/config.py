@@ -69,15 +69,6 @@ def _unit(divisor: float) -> _Kind:
                  lambda value: repr(_exact_unit_value(value, divisor)))
 
 
-def _bounded(expected: str, accepts: Callable[[float], bool]) -> _Kind:
-    """A number that ``accepts`` holds for."""
-    def parse(raw: str) -> float:
-        if not accepts(value := float(raw)):
-            raise ValueError(raw)
-        return value
-    return _Kind(expected, parse, repr)
-
-
 def _choice(*options: str) -> _Kind:
     # tuple.index raises ValueError for a word that is not an option.
     return _Kind(f"one of {options}", lambda raw: options[options.index(raw)])
@@ -90,10 +81,6 @@ _NM = _unit(1e9)
 _NUMBER = _Kind("a number", float, repr)
 _INTEGER = _Kind("an integer", int)
 _TEXT = _Kind("text", str)
-# A ratio |q|/k: at 1 and beyond the wave is evanescent.
-_FRACTION = _bounded("a number between 0 and 1, exclusive", lambda value: 0.0 < value < 1.0)
-# A size whose 0 selects automatic sizing.
-_SIZE = _bounded("a finite number >= 0", lambda value: 0.0 <= value < math.inf)
 _BOOLEAN = _Kind("'true' or 'false'", lambda raw: _choice("true", "false").parse(raw) == "true",
                  lambda value: "true" if value else "false")
 
@@ -130,14 +117,16 @@ class DispersionConfig:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Grid sizes, guard thresholds, and output conventions."""
+    """The pump grid, and what the outputs mean.
+
+    The oracle's joint grid is sized from the detection geometry
+    (``scenarios.auto_joint_grid``) and the paraxial guard holds at
+    ``phasematch.PARAXIAL_BOUND``; neither is a key.
+    """
 
     grid_samples: int = 4096
     grid_extent: float = 0.02
-    joint_grid_samples: int = 0  # 0 selects automatic sizing
-    joint_q_extent: float = 0.0  # rad/m; 0 selects automatic sizing
     angle_convention: str = "external"
-    paraxial_bound: float = 0.2
     normalize: bool = True
 
 
@@ -218,10 +207,7 @@ _MODEL_KEYS = {
 _NUMERICS = _keys(NumericsConfig,
                   ("grid_samples", "grid_samples", _INTEGER),
                   ("grid_extent_mm", "grid_extent", _MM),
-                  ("joint_grid_samples", "joint_grid_samples", _INTEGER),
-                  ("joint_q_extent", "joint_q_extent", _SIZE),
                   ("angle_convention", "angle_convention", _choice(*CONVENTIONS)),
-                  ("paraxial_bound", "paraxial_bound", _FRACTION),
                   ("normalize", "normalize", _BOOLEAN))
 
 

@@ -28,6 +28,8 @@ CONVENTIONS = ("external", "internal")
 
 # Detector positions at which efficiency_drop_over_scan samples the scan.
 _DROP_SAMPLES = 513
+# Largest |q| / (n w / c) of any beam the paraxial mismatch is evaluated at.
+PARAXIAL_BOUND = 0.2
 
 
 def grating_vector(crystal: CrystalSpec) -> float:
@@ -67,16 +69,15 @@ def _collinear_density(freqs: FrequencyPair, indices) -> float:
     return (n_p * freqs.omega_pump - n_i * freqs.omega_idler - n_s * freqs.omega_signal) / C
 
 
-def _paraxial_check(q, k: float, bound: float) -> None:
+def _paraxial_check(q, k: float) -> None:
     qmax = float(np.max(np.abs(q))) if np.ndim(q) else abs(float(q))
     ratio = qmax / k
-    if not ratio < bound:
-        raise ParaxialityError(ratio, bound)
+    if not ratio < PARAXIAL_BOUND:
+        raise ParaxialityError(ratio, PARAXIAL_BOUND)
 
 
 def paraxial_mismatch_terms(freqs: FrequencyPair, q_signal, q_idler,
-                            crystal: CrystalSpec, model: IndexModel,
-                            *, paraxial_bound: float = 0.2
+                            crystal: CrystalSpec, model: IndexModel
                             ) -> tuple[float, float, float, float]:
     """The paraxial mismatch as a constant plus three quadratic coefficients.
 
@@ -84,13 +85,13 @@ def paraxial_mismatch_terms(freqs: FrequencyPair, q_signal, q_idler,
     constant the collinear imbalance less the grating vector, so that the
     mismatch is constant + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2. The
     crystal's index triple is looked up once. The guard
-    |q| < bound * (n w / c) is enforced per beam on the given signal and
-    idler wavevectors.
+    |q| < PARAXIAL_BOUND * (n w / c) is enforced per beam on the given signal
+    and idler wavevectors.
     """
     indices = crystal_indices(freqs, crystal, model)
     n_p, n_s, n_i = indices
-    _paraxial_check(q_signal, n_s * freqs.omega_signal / C, paraxial_bound)
-    _paraxial_check(q_idler, n_i * freqs.omega_idler / C, paraxial_bound)
+    _paraxial_check(q_signal, n_s * freqs.omega_signal / C)
+    _paraxial_check(q_idler, n_i * freqs.omega_idler / C)
     return (_collinear_density(freqs, indices) - grating_vector(crystal),
             C / (2.0 * n_s * freqs.omega_signal),
             C / (2.0 * n_i * freqs.omega_idler),
@@ -98,16 +99,14 @@ def paraxial_mismatch_terms(freqs: FrequencyPair, q_signal, q_idler,
 
 
 def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
-                      crystal: CrystalSpec, model: IndexModel,
-                      *, paraxial_bound: float = 0.2):
+                      crystal: CrystalSpec, model: IndexModel):
     """Paraxial longitudinal mismatch for given transverse wavevectors.
 
     Returns (n0 w0 - n_i w_i - n_s w_s)/c - 2 pi m / Lambda
     + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 from
     ``paraxial_mismatch_terms``, broadcasting over array-valued q.
     """
-    constant, a_s, a_i, a_p = paraxial_mismatch_terms(
-        freqs, q_signal, q_idler, crystal, model, paraxial_bound=paraxial_bound)
+    constant, a_s, a_i, a_p = paraxial_mismatch_terms(freqs, q_signal, q_idler, crystal, model)
     qs = np.asarray(q_signal, dtype=float)
     qi = np.asarray(q_idler, dtype=float)
     out = constant + a_s * qs**2 + a_i * qi**2 - a_p * (qs + qi) ** 2
@@ -126,8 +125,7 @@ def detuning_term(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel)
 
 
 def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
-                     model: IndexModel, *, convention: str = "external",
-                     paraxial_bound: float = 0.2):
+                     model: IndexModel, *, convention: str = "external"):
     """Normalized QPM efficiency sinc^2(L_z A(alpha)/2) on the symmetric cone.
 
     A = delta_kz - n_g * delta_omega / c is the phase-matching function. The
@@ -147,7 +145,7 @@ def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
     kappa_s, kappa_i = n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
     sin_alpha = np.sin(np.asarray(alpha, dtype=float))
     a_val = (delta_kz_paraxial(freqs, -kappa_s * sin_alpha, kappa_i * sin_alpha,
-                               crystal, model, paraxial_bound=paraxial_bound)
+                               crystal, model)
              - detuning_term(freqs, crystal, model))
     if not math.isfinite(crystal.length * float(np.max(np.abs(a_val)))):
         raise ValidationError(f"crystal length {crystal.length!r} m overflows L A / 2")
@@ -182,16 +180,24 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
     return 2.0 * math.pi * qpm_order / density
 
 
+def check_scan_angle(scan_range: float, distance: float) -> None:
+    """Refuse a centred scan whose outer angle p / distance reaches 90 degrees, or overflows.
+
+    Past 90 degrees the angle wraps: its sine falls again.
+    """
+    if not 0.5 * scan_range / distance < 0.5 * math.pi:
+        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
+
+
 def efficiency_drop_over_scan(scan_range: float, distance: float,
                               freqs: FrequencyPair, crystal: CrystalSpec,
-                              model: IndexModel, *, convention: str = "external",
-                              paraxial_bound: float = 0.2) -> float:
+                              model: IndexModel, *, convention: str = "external") -> float:
     """Worst QPM efficiency loss across a detector scan of total extent scan_range.
 
     The scan is centred on the axis (positions +- scan_range/2); a detector
     at offset p sees the emission angle p / distance (small angles). Returns
-    1 - min over the scan of maker_efficiency at those angles, under the same
-    paraxial bound.
+    1 - min over the scan of maker_efficiency at those angles, whose paraxial
+    guard holds them below PARAXIAL_BOUND.
     """
     if scan_range < 0:
         raise ValidationError(f"scan range must be >= 0, got {scan_range!r}")
@@ -199,10 +205,8 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
         raise ValidationError(f"detection distance must be positive, got {distance!r}")
     if scan_range == 0.0:
         return 0.0
-    if not 0.5 * scan_range / distance < 0.5 * math.pi:  # the angle p / distance wraps
-        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
+    check_scan_angle(scan_range, distance)
     positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES)
-    eff = maker_efficiency(positions / distance, freqs, crystal, model,
-                           convention=convention, paraxial_bound=paraxial_bound)
+    eff = maker_efficiency(positions / distance, freqs, crystal, model, convention=convention)
     return float(1.0 - np.min(eff))
 

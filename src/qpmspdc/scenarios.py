@@ -22,7 +22,7 @@ from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (crystal_indices, delta_kz_paraxial,
+from .phasematch import (check_scan_angle, crystal_indices, delta_kz_paraxial,
                          fourier_coefficient, maker_efficiency,
                          paraxial_mismatch_terms)
 
@@ -58,13 +58,17 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     the transform), the stationary wavevector of the farthest detector
     position, and half the pump-sum bandwidth the scan actually consumes.
     The sample count then resolves the transport chirp at the grid edge.
-    Explicit numerics overrides win. Returns (q_extent, samples, warnings);
-    the warning reports an automatic extent clipped to the pump spectrum.
+    This sizing is the only one a config gets; a grid study passes its own
+    extent and count to ``build_joint_amplitude``. Returns (q_extent,
+    samples, warnings); the warning reports an extent clipped to the pump
+    spectrum. A scan past 90 degrees is refused first, as the analytic scan
+    refuses it, before the Fresnel scales below can overflow into NaN.
     """
     detection = config.detection
     crystal = config.crystal
     freqs = degenerate_pair(config)
     z = detection.distance
+    check_scan_angle(detection.scan_range, z)
     k_dc = min(freqs.omega_signal, freqs.omega_idler) / C
     k_pump = freqs.omega_pump / C
     _, a_signal, a_idler, _ = paraxial_mismatch_terms(
@@ -85,25 +89,22 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     # scan positions can then fall off the grid and the oracle rates collapse
     # there.
     pump_reach = float(spectrum.q[-1])
-    q_extent = config.numerics.joint_q_extent or min(2.0 * half, pump_reach)
+    q_extent = min(2.0 * half, pump_reach)
     warnings: tuple[str, ...] = ()
-    if not config.numerics.joint_q_extent and 2.0 * half > pump_reach:
+    if 2.0 * half > pump_reach:
         warnings = (
             f"joint grid q extent clipped from {2.0 * half:.6g} to {pump_reach:.6g} rad/m, "
             "the pump spectrum's last node; oracle rates at the outer scan positions "
             "may collapse",)
-    if config.numerics.joint_grid_samples:
-        samples = config.numerics.joint_grid_samples
-    else:
-        edge_chirp = z * 0.5 * q_extent
-        dq_chirp = 0.8 * math.pi * k_dc / edge_chirp if edge_chirp else math.inf
-        dq_position = 0.8 * math.pi / p_eff
-        needed = q_extent / min(dq_chirp, dq_position)
-        if not needed <= MAX_JOINT_SAMPLES:
-            raise ValidationError(
-                f"joint grid q extent {q_extent:.6g} rad/m needs {needed:.6g} samples; "
-                f"at most {MAX_JOINT_SAMPLES} are allowed")
-        samples = max(256, 16 * math.ceil(needed / 16))
+    edge_chirp = z * 0.5 * q_extent
+    dq_chirp = 0.8 * math.pi * k_dc / edge_chirp if edge_chirp else math.inf
+    dq_position = 0.8 * math.pi / p_eff
+    needed = q_extent / min(dq_chirp, dq_position)
+    if not needed <= MAX_JOINT_SAMPLES:
+        raise ValidationError(
+            f"joint grid q extent {q_extent:.6g} rad/m needs {needed:.6g} samples; "
+            f"at most {MAX_JOINT_SAMPLES} are allowed")
+    samples = max(256, 16 * math.ceil(needed / 16))
     return q_extent, samples, warnings
 
 
@@ -114,8 +115,7 @@ def _sized_joint_amplitude(config: ScenarioConfig, spectrum: AngularSpectrum,
     amplitude = build_joint_amplitude(
         spectrum, config.pump, config.crystal, degenerate_pair(config),
         config.dispersion.model, q_extent=q_extent, samples=samples,
-        include_phase=include_phase,
-        paraxial_bound=config.numerics.paraxial_bound)
+        include_phase=include_phase)
     return amplitude, warnings
 
 
@@ -146,8 +146,7 @@ def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
         profile = propagate(exit_field, config.detection.distance)
         analytic = coincidence_scan_analytic(
             profile, config.detection, detectors, crystal=config.crystal,
-            model=config.dispersion.model, freqs=degenerate_pair(config),
-            paraxial_bound=config.numerics.paraxial_bound)
+            model=config.dispersion.model, freqs=degenerate_pair(config))
     if method in ("oracle", "both"):
         amplitude, grid_warnings = _sized_joint_amplitude(
             config, to_angular_spectrum(exit_field), include_phase=False)
@@ -175,8 +174,7 @@ def maker_curve(config: ScenarioConfig, *, alpha_max: float,
     alphas = alpha_step * np.arange(count)
     freqs = degenerate_pair(config)
     eff = maker_efficiency(alphas, freqs, config.crystal, config.dispersion.model,
-                           convention=config.numerics.angle_convention,
-                           paraxial_bound=config.numerics.paraxial_bound)
+                           convention=config.numerics.angle_convention)
     eff = np.asarray(eff, dtype=float)
     if not config.numerics.normalize:
         eff = eff * fourier_coefficient(config.crystal) ** 2

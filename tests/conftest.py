@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+def rewrite(text: str, **values: str) -> str:
+    """Config ``text`` with each ``key = value`` line set to the given value.
+
+    Each key must name exactly one line. A rewrite that matched none would
+    leave the config as it was, and the test built on it would pass without
+    testing its case.
+    """
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        if count != 1:
+            raise AssertionError(f"{count} lines of the config set {key!r}, not 1")
+    return text
 
 
 @pytest.fixture(scope="session")

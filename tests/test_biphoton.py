@@ -16,7 +16,6 @@ from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _hankel,
                               sample_pump_spectrum, scan_positions,
                               spectral_envelope, symmetric_q_grid)
 from qpmspdc.cli import write_scan_csv
-from qpmspdc.config import parse_scenario_text, scenario_to_text
 from qpmspdc.core import VACUUM_LIGHT_SPEED as C
 from qpmspdc.core import (CrystalSpec, DetectionGeometry, FrequencyPair,
                           PumpSpec, angular_frequency, sinc, vacuum_wavelength)
@@ -186,6 +185,11 @@ class TestBuildJointAmplitude:
             build_joint_amplitude(spectrum, pump, vacuum_crystal(), freqs,
                                   ConstantIndexModel(1.7), q_extent=2e5, samples=64)
 
+    def test_oversized_sample_count_refused(self):
+        # A q axis of 1e11 samples would take 800 GB.
+        with pytest.raises(ValidationError, match="integer from 2 to 16384"):
+            symmetric_q_grid(2e5, 100000000000)
+
     def test_zero_pump_rejected_on_construction(self):
         # The amplitude is divided by the pump's peak magnitude, so an
         # all-zero pump is refused before any grid cell is computed.
@@ -242,8 +246,8 @@ class TestPumpSpectrumReach:
     @example(grid_samples=4096, grid_extent_mm=80.0, scan_range_mm=2.0, distance_mm=500.0)
     def test_automatic_grids_stay_inside_the_pump_spectrum(
             self, preset1, grid_samples, grid_extent_mm, scan_range_mm, distance_mm):
-        # With no joint_* override the automatic grid is clipped to the pump
-        # spectrum's reach, so its pair sums never leave the spectrum.
+        # The automatic grid is clipped to the pump spectrum's reach, so its
+        # pair sums never leave the spectrum.
         config = replace(
             preset1,
             numerics=replace(preset1.numerics, grid_samples=grid_samples,
@@ -365,9 +369,7 @@ class TestScans:
         assert period == pytest.approx(1.0532e-3, rel=0.03)
 
     def test_regime_violation_warns_and_degrades(self, preset1):
-        text = scenario_to_text(preset1).replace("distance_mm = 500.0",
-                                                 "distance_mm = 25.0")
-        violated = parse_scenario_text(text)
+        violated = replace(preset1, detection=replace(preset1.detection, distance=0.025))
         out = run_coincidence(violated, detectors="signal-only", method="both")
         assert any("regime" in w for w in out.analytic.warnings)
         assert out.correlation < 0.98
@@ -437,15 +439,21 @@ def oracle_case(request, preset1, preset2):
             include_phase=False)
         return amplitude, geometry()
     config = preset2 if case == "paper-config-2" else preset1
-    text = scenario_to_text(config)
-    if case == "odd-joint-samples":
-        text = text.replace("joint_grid_samples = 0", "joint_grid_samples = 817")
-    elif case == "explicit-q-extent":
-        text = text.replace("joint_q_extent = 0.0", "joint_q_extent = 300000.0")
-    config = parse_scenario_text(text)
     detection = config.detection
     if case == "zero-slit-width":
         detection = replace(detection, slit_width=0.0)
+    if case in ("odd-joint-samples", "explicit-q-extent"):
+        # An odd count on the automatic extent, and a wider extent with the
+        # count the automatic sizing gives it.
+        spectrum = pump_spectrum(config)
+        q_extent, samples = ((auto_joint_grid(config, spectrum)[0], 817)
+                             if case == "odd-joint-samples" else (3e5, 1184))
+        amplitude = build_joint_amplitude(
+            spectrum, config.pump, config.crystal, degenerate_pair(config),
+            config.dispersion.model, q_extent=q_extent, samples=samples,
+            include_phase=False)
+        assert amplitude.q_signal.size == samples
+        return amplitude, detection
     return joint_amplitude(config, include_phase=False), detection
 
 
@@ -600,17 +608,21 @@ class TestStreaming:
     def test_scan_memory_stays_below_half_a_grid(self, preset2):
         # The oracle streams the joint grid, so no scan mode holds the
         # N x N complex grid, even at twice the automatic sample count.
-        text = scenario_to_text(preset2).replace("joint_grid_samples = 0",
-                                                 "joint_grid_samples = 2144")
-        config = parse_scenario_text(text)
+        spectrum = pump_spectrum(preset2)
+        q_extent = auto_joint_grid(preset2, spectrum)[0]
         half_grid = 2144 * 2144 * 16 // 2
         for mode in SCAN_MODES:
             tracemalloc.start()
             try:
-                run_coincidence(config, detectors=mode, method="oracle")
+                amplitude = build_joint_amplitude(
+                    spectrum, preset2.pump, preset2.crystal, degenerate_pair(preset2),
+                    preset2.dispersion.model, q_extent=q_extent, samples=2144,
+                    include_phase=False)
+                coincidence_scan_oracle(amplitude, preset2.detection, mode)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert amplitude.q_signal.size == 2144
             assert peak < half_grid, (mode, peak)
 
     @pytest.mark.parametrize("name,expected", [

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import rewrite
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -60,9 +61,7 @@ class TestParsing:
         assert config.elements == ()
 
     def test_design_token_resolves_poling_period(self):
-        text = MINIMAL.replace("poling_period_um = 11.4617",
-                               "poling_period_um = design")
-        config = parse_scenario_text(text)
+        config = parse_scenario_text(rewrite(MINIMAL, poling_period_um="design"))
         assert config.crystal.poling_period == pytest.approx(11.468676e-6, rel=1e-6)
 
     def test_cw_pump(self):
@@ -77,7 +76,7 @@ class TestParsing:
          "duplicate key"),
         (lambda t: t.replace("length_mm = 9.6\n", ""), "missing required key"),
         (lambda t: t.replace("[pump]\n", ""), ""),
-        (lambda t: t.replace("length_mm = 9.6", "length_mm = long"), "number"),
+        (lambda t: rewrite(t, length_mm="long"), "number"),
         (lambda t: t.replace("[crystal]", "stray = 1\n[crystal]"), "outside"),
         (lambda t: t.replace("length_mm = 9.6", "length_mm"), "key = value"),
     ])
@@ -92,10 +91,8 @@ class TestParsing:
         assert parse_scenario_text(example) == load_scenario("paper-config-1")
 
     def test_embedded_invariants_revalidated(self):
-        text = MINIMAL.replace("duty_cycle = 0.5", "")  # default fine
-        text = MINIMAL.replace("length_mm = 9.6", "length_mm = -1")
         with pytest.raises(ConfigError):
-            parse_scenario_text(text)
+            parse_scenario_text(rewrite(MINIMAL, length_mm="-1"))
 
     def test_element_sections(self):
         text = MINIMAL + (
@@ -125,8 +122,16 @@ def _num(lo, hi):
 
 @st.composite
 def config_texts(draw):
-    """Valid scenario text over every section and key the parser accepts."""
+    """Valid scenario text over every section and key the parser accepts.
+
+    Most draws march the pump: its degenerate pair lies inside the KTP
+    window, the grid spans at least 8 waists, and the elements sit in order
+    between the waist and the crystal. extreme_config_texts() draws the
+    refusals.
+    """
     step = draw(_num(1e-3, 1.0))
+    waist = draw(_num(0.01, 10.0))
+    waist_position = draw(_num(-1000.0, 0.0))
     lines = [
         "[crystal]",
         f"length_mm = {draw(_num(0.01, 100.0))!r}",
@@ -138,17 +143,20 @@ def config_texts(draw):
         f"signal_axis = {draw(st.sampled_from('xyz'))}",
         f"idler_axis = {draw(st.sampled_from('xyz'))}",
         "[pump]",
-        f"wavelength_nm = {draw(_num(200.0, 2000.0))!r}",
-        f"waist_mm = {draw(_num(0.01, 10.0))!r}",
-        f"waist_position_mm = {draw(_num(-1000.0, 0.0))!r}",
+        # KTP's window is 400-1580 nm, so the degenerate pair at twice the
+        # pump wavelength stays inside it.
+        f"wavelength_nm = {draw(_num(400.0, 789.0))!r}",
+        f"waist_mm = {waist!r}",
+        f"waist_position_mm = {waist_position!r}",
         "[detection]",
         f"distance_mm = {draw(_num(1.0, 5000.0))!r}",
         f"slit_width_mm = {draw(_num(0.0, 1.0))!r}",
         f"scan_range_mm = {step * draw(st.integers(1, 400))!r}",
         f"scan_step_mm = {step!r}",
     ]
-    for index in range(1, draw(st.integers(0, 3)) + 1):
-        lines += [f"[element.{index}]", f"position_mm = {draw(_num(-1000.0, 0.0))!r}"]
+    positions = sorted(draw(st.lists(_num(waist_position, 0.0), max_size=3)))
+    for index, position in enumerate(positions, start=1):
+        lines += [f"[element.{index}]", f"position_mm = {position!r}"]
         if draw(st.booleans()):
             focal = draw(_num(1.0, 1e4) | _num(-1e4, -1.0))
             lines += ["type = lens", f"focal_length_mm = {focal!r}"]
@@ -165,11 +173,9 @@ def config_texts(draw):
     lines += [
         "[numerics]",
         f"grid_samples = {2 ** draw(st.integers(8, 14))}",
-        f"grid_extent_mm = {draw(_num(1.0, 100.0))!r}",
-        f"joint_grid_samples = {draw(st.integers(0, 4096))}",
-        f"joint_q_extent = {draw(_num(0.0, 1e6))!r}",
+        # Past 8 waists by a margin that survives the unit conversion.
+        f"grid_extent_mm = {waist * draw(_num(8.5, 40.0))!r}",
         f"angle_convention = {draw(st.sampled_from(CONVENTIONS))}",
-        f"paraxial_bound = {draw(_num(0.01, 0.5))!r}",
         f"normalize = {draw(st.sampled_from(['true', 'false']))}",
     ]
     return "\n".join(lines) + "\n"
@@ -215,13 +221,11 @@ class TestRoundTrip:
         # The 'design' token resolves to the value its micrometre text parses
         # to; the raw design value has no such text at 22 of these 601
         # temperatures (20.4 C among them).
-        text = scenario_to_text(load_scenario(preset))
-        text = re.sub(r"(?m)^poling_period_um = .*$", "poling_period_um = design", text)
+        text = rewrite(scenario_to_text(load_scenario(preset)), poling_period_um="design")
         misses = []
         for step in range(601):
             temperature = round(20.0 + 0.1 * step, 1)
-            config = parse_scenario_text(re.sub(
-                r"(?m)^temperature_c = .*$", f"temperature_c = {temperature!r}", text))
+            config = parse_scenario_text(rewrite(text, temperature_c=repr(temperature)))
             if parse_scenario_text(scenario_to_text(config)) != config:
                 misses.append(temperature)
         assert misses == []
@@ -260,9 +264,7 @@ class TestRawOutput:
     def test_unnormalized_maker_curve_scaled_by_grating_coefficient(self, tmp_path):
         text = MINIMAL + "\n[numerics]\nnormalize = false\n"
         config = tmp_path / "raw.ini"
-        config.write_text(text.replace("poling_period_um = 11.4617",
-                                       "poling_period_um = design"),
-                          encoding="utf-8")
+        config.write_text(rewrite(text, poling_period_um="design"), encoding="utf-8")
         out = tmp_path / "maker.csv"
         res = run_cli("maker-fringes", "--config", str(config),
                       "--out", str(out), "--alpha-step-deg", "0.05",
@@ -352,13 +354,11 @@ class TestCliDesignPoling:
         # in 7 mK steps).
         from qpmspdc.scenarios import design_report
 
-        text = scenario_to_text(load_scenario(preset))
-        text = re.sub(r"(?m)^poling_period_um = .*$", "poling_period_um = design", text)
+        text = rewrite(scenario_to_text(load_scenario(preset)), poling_period_um="design")
         misses = []
         for step in range(2858):
             temperature = round(30.0 + 0.007 * step, 3)
-            config = parse_scenario_text(re.sub(
-                r"(?m)^temperature_c = .*$", f"temperature_c = {temperature!r}", text))
+            config = parse_scenario_text(rewrite(text, temperature_c=repr(temperature)))
             if design_report(config)["poling_period"] != config.crystal.poling_period:
                 misses.append(temperature)
         assert misses == []
@@ -421,8 +421,7 @@ class TestCliCoincidenceScan:
         assert make.call_count == 1
 
     def test_regime_violation_warns_but_succeeds(self, tmp_path):
-        config_text = scenario_to_text(load_scenario("paper-config-1")).replace(
-            "distance_mm = 500.0", "distance_mm = 25.0")
+        config_text = _preset_with("distance_mm", "25.0")
         config = tmp_path / "close.ini"
         config.write_text(config_text, encoding="utf-8")
         out = tmp_path / "scan.csv"
@@ -446,9 +445,7 @@ class TestCliCoincidenceScan:
 class TestGuardExitCodes:
     def test_wavelength_outside_model_window_exits_3(self, tmp_path):
         config = tmp_path / "uv.ini"
-        config.write_text(MINIMAL.replace("wavelength_nm = 413",
-                                          "wavelength_nm = 350"),
-                          encoding="utf-8")
+        config.write_text(rewrite(MINIMAL, wavelength_nm="350"), encoding="utf-8")
         res = run_cli("maker-fringes", "--config", str(config),
                       "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 3
@@ -456,9 +453,8 @@ class TestGuardExitCodes:
 
 
 def _preset_with(key, value):
-    """Preset 1 as text, with one key set to value."""
-    text = scenario_to_text(load_scenario("paper-config-1"))
-    return re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    """Preset 1 as text, with its one ``key`` line set to value."""
+    return rewrite(scenario_to_text(load_scenario("paper-config-1")), **{key: value})
 
 
 class TestExitCodeContract:
@@ -474,7 +470,7 @@ class TestExitCodeContract:
     def test_missing_table_file_exits_2(self, tmp_path, capsys, poling):
         config = tmp_path / "table.ini"
         config.write_text(
-            MINIMAL.replace("11.4617", poling)
+            rewrite(MINIMAL, poling_period_um=poling)
             + f"\n[dispersion]\nmodel = table\ntable_path = {tmp_path / 'absent.txt'}\n",
             encoding="utf-8")
         code, err = self._main(capsys, "pump-propagate", "--config", str(config),
@@ -490,8 +486,7 @@ class TestExitCodeContract:
 
     def test_scan_step_not_dividing_range_exits_2(self, tmp_path, capsys):
         config = tmp_path / "step.ini"
-        config.write_text(MINIMAL.replace("scan_step_mm = 0.02", "scan_step_mm = 0.03"),
-                          encoding="utf-8")
+        config.write_text(rewrite(MINIMAL, scan_step_mm="0.03"), encoding="utf-8")
         code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
                                "--out", str(tmp_path / "scan.csv"))
         assert code == 2
@@ -502,8 +497,7 @@ class TestExitCodeContract:
         # Both steps divide the 2 mm range; the position count is refused at
         # load time, before a scan array (160 MB at 2e7 positions) exists.
         config = tmp_path / "step.ini"
-        config.write_text(MINIMAL.replace("scan_step_mm = 0.02", f"scan_step_mm = {step}"),
-                          encoding="utf-8")
+        config.write_text(rewrite(MINIMAL, scan_step_mm=step), encoding="utf-8")
         tracemalloc.start()
         try:
             code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
@@ -543,10 +537,6 @@ class TestExitCodeContract:
          "power of two up to 1048576, got 1125899906842624"),
         ("grid_samples", "1125899906842624", ["coincidence-scan", "--mode", "oracle"],
          "power of two up to 1048576, got 1125899906842624"),
-        ("joint_grid_samples", "100000000000", ["coincidence-scan", "--mode", "oracle"],
-         "integer from 2 to 16384, got 100000000000"),
-        ("joint_q_extent", "1e300", ["coincidence-scan", "--mode", "both"],
-         "needs inf samples; at most 16384 are allowed"),
     ])
     def test_oversized_grid_exits_2(self, tmp_path, capsys, key, value, command, needle):
         # numpy refuses each of these sizes outright (MemoryError, or
@@ -558,6 +548,18 @@ class TestExitCodeContract:
         assert code == 2
         assert needle in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_wide_scan_oversizes_the_joint_grid_exits_2(self, tmp_path, capsys):
+        # The automatic joint grid resolves the position phase of the outer
+        # detector: 100 mm off axis, that needs 25600.3 samples a side.
+        config = tmp_path / "wide.ini"
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
+                                  scan_range_mm="200", scan_step_mm="2"), encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--mode", "oracle",
+                               "--config", str(config), "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert "needs 25600.3 samples; at most 16384 are allowed" in err
+        assert not (tmp_path / "scan.csv").exists()
 
     def test_unphysical_index_exits_2(self, tmp_path, capsys):
         # KTP's thermo-optic fit at 1e300 C gives n ~ 1e294, whose wavevector
@@ -573,9 +575,8 @@ class TestExitCodeContract:
         # A 30 mm scan at 500 mm reads the detection-plane profile beyond the
         # preset's 20 mm pump grid; those rates were once silently 0.
         config = tmp_path / "wide.ini"
-        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
-                          .replace("scan_range_mm = 2.0", "scan_range_mm = 30.0")
-                          .replace("scan_step_mm = 0.02", "scan_step_mm = 0.1"),
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
+                                  scan_range_mm="30.0", scan_step_mm="0.1"),
                           encoding="utf-8")
         code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
                                "--out", str(tmp_path / "scan.csv"))
@@ -587,8 +588,8 @@ class TestExitCodeContract:
         # of paper-config-2 fall between samples; the blank field once
         # exited 2 with "field must carry positive total power".
         config = tmp_path / "coarse.ini"
-        config.write_text(scenario_to_text(load_scenario("paper-config-2"))
-                          .replace("grid_samples = 8192", "grid_samples = 256"),
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-2")),
+                                  grid_samples="256"),
                           encoding="utf-8")
         code, err = self._main(capsys, "pump-propagate", "--config", str(config),
                                "--out", str(tmp_path / "pump.csv"))
@@ -597,46 +598,47 @@ class TestExitCodeContract:
         assert "sample_count >= 512" in err
 
     def test_joint_grid_past_the_pump_spectrum_exits_3(self, tmp_path, capsys):
-        # joint_q_extent is pi * grid_samples / grid_extent, one pump step past
+        # A q extent of pi * grid_samples / grid_extent is one pump step past
         # the spectrum's last node: 2 of the 1023 pair sums fall beyond it,
-        # and were once read as 0 while the scan exited 0.
-        text = _preset_with("grid_samples", "256").replace(
-            "joint_grid_samples = 0", "joint_grid_samples = 512").replace(
-            "joint_q_extent = 0.0", "joint_q_extent = 40212.385965949354")
+        # and were once read as 0 while the scan exited 0. The automatic grid
+        # stops at that node, so the grid is patched in, as a grid study
+        # would pass it to build_joint_amplitude.
         config = tmp_path / "reach.ini"
-        config.write_text(text, encoding="utf-8")
-        code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
-                               "--out", str(tmp_path / "scan.csv"), "--mode", "oracle")
+        config.write_text(_preset_with("grid_samples", "256"), encoding="utf-8")
+        with mock.patch("qpmspdc.scenarios.auto_joint_grid",
+                        return_value=(40212.385965949354, 512, ())):
+            code, err = self._main(capsys, "coincidence-scan", "--config", str(config),
+                                   "--out", str(tmp_path / "scan.csv"), "--mode", "oracle")
         assert code == 3
         assert "pump spectrum grid [-40212.4, 39898.2] rad/m cannot supply" in err
 
-    @pytest.mark.parametrize("command", ["maker-fringes", "coincidence-scan"])
-    def test_tight_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command):
-        # The analytic scan's efficiency-drop check once ran under the
-        # default bound of 0.2 whatever [numerics] paraxial_bound said.
-        config = tmp_path / "tight.ini"
-        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
-                          .replace("paraxial_bound = 0.2", "paraxial_bound = 0.001"),
+    @pytest.mark.parametrize("command,options,ratio", [
+        ("maker-fringes", ["--alpha-max-deg", "80", "--alpha-step-deg", "1"], "0.5611"),
+        ("coincidence-scan", ["--mode", "analytic"], "0.2732")], ids=["maker", "scan"])
+    def test_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command, options,
+                                                ratio):
+        # PARAXIAL_BOUND is the one bound, and both guards read it: an 80
+        # degree Maker curve and a 10 mm scan at 10 mm pass it.
+        config = tmp_path / "wide.ini"
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
+                                  distance_mm="10", scan_range_mm="10.0", scan_step_mm="0.1"),
                           encoding="utf-8")
-        code, err = self._main(capsys, command, "--config", str(config),
+        code, err = self._main(capsys, command, *options, "--config", str(config),
                                "--out", str(tmp_path / "out.csv"))
         assert code == 3
-        assert "exceeds bound 0.0010" in err
+        assert f"|q|/k = {ratio} exceeds bound 0.2000" in err
+        assert not (tmp_path / "out.csv").exists()
 
-    def test_loose_paraxial_bound_reaches_the_analytic_scan(self, tmp_path, capsys):
-        # A 10 mm scan at 10 mm reaches |q|/k = 0.27: past the default bound,
-        # inside the configured 0.5.
-        config = tmp_path / "wide.ini"
-        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
-                          .replace("paraxial_bound = 0.2", "paraxial_bound = 0.5")
-                          .replace("distance_mm = 500.0", "distance_mm = 10")
-                          .replace("scan_range_mm = 2.0", "scan_range_mm = 10.0")
-                          .replace("scan_step_mm = 0.02", "scan_step_mm = 0.1"),
-                          encoding="utf-8")
-        code = cli.main(["coincidence-scan", "--mode", "analytic", "--config", str(config),
-                         "--out", str(tmp_path / "scan.csv")])
-        assert code == 0, capsys.readouterr().err
-        assert "regime violation" in (tmp_path / "scan.csv").read_text()
+    @pytest.mark.parametrize("mode", ["oracle", "analytic"])
+    def test_subnormal_distance_exits_2_naming_the_scan(self, tmp_path, capsys, mode):
+        # The oracle's grid sizing once turned 1e-323 m into a NaN extent and
+        # refused it as "joint grid q extent nan rad/m needs nan samples".
+        config = tmp_path / "near.ini"
+        config.write_text(_preset_with("distance_mm", "1e-320"), encoding="utf-8")
+        code, err = self._main(capsys, "coincidence-scan", "--mode", mode, "--config",
+                               str(config), "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert "a 0.002 m scan at 1e-323 m passes 90 degrees" in err
 
     @pytest.mark.parametrize("line", ["pulse_fs = 200", "cw = true"])
     def test_removed_pump_timing_key_exits_2(self, tmp_path, capsys, line):
@@ -653,26 +655,32 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("value", ["inf", "1e300", "1", "0", "-1", "nan"])
     def test_paraxial_bound_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
         # inf, 1e300 and 1 once switched the paraxial guards off (exit 0 at
-        # |q|/k = 0.56 here); 0, -1 and nan tripped them (exit 3).
+        # |q|/k = 0.56 here); 0, -1 and nan tripped them (exit 3). The bound
+        # is no longer a key, so no value reaches a guard; without the key
+        # this call exits 3 (test_paraxial_bound_reaches_every_guard).
         config = tmp_path / "bound.ini"
-        config.write_text(_preset_with("paraxial_bound", value), encoding="utf-8")
+        text = scenario_to_text(load_scenario("paper-config-1"))
+        config.write_text(f"{text}paraxial_bound = {value}\n", encoding="utf-8")
         code, err = self._main(capsys, "maker-fringes", "--alpha-max-deg", "80",
                                "--alpha-step-deg", "1", "--config", str(config),
                                "--out", str(tmp_path / "maker.csv"))
         assert code == 2
-        assert "paraxial_bound must be a number between 0 and 1, exclusive" in err
+        assert "[numerics] unknown key(s): paraxial_bound" in err
         assert not (tmp_path / "maker.csv").exists()
 
     @pytest.mark.parametrize("key", ["filter_center_nm", "filter_fwhm_nm", "spectral_tail_tol",
-                                     "type_ii"])
+                                     "type_ii", "joint_grid_samples", "joint_q_extent",
+                                     "paraxial_bound"])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, key):
         # MINIMAL ends inside [detection], where the filter keys lived; the
-        # tail tolerance lived in [numerics]. type_ii, in [crystal], only
-        # checked the axes, which alone set the crystal type.
+        # tail tolerance, the joint grid overrides and the paraxial bound
+        # lived in [numerics]. type_ii, in [crystal], only checked the axes,
+        # which alone set the crystal type.
         if key == "type_ii":
             section = "crystal"
             text = MINIMAL.replace("[crystal]\n", "[crystal]\ntype_ii = true\n")
-        elif key == "spectral_tail_tol":
+        elif key in ("spectral_tail_tol", "joint_grid_samples", "joint_q_extent",
+                     "paraxial_bound"):
             section, text = "numerics", f"{MINIMAL}[numerics]\n{key} = 1\n"
         else:
             section, text = "detection", f"{MINIMAL}{key} = 1\n"
@@ -764,11 +772,8 @@ class TestExitCodeProperty:
     @example(text=_preset_with("grid_extent_mm", "1e300"))
     @example(text=_preset_with("length_mm", "1e300"))
     @example(text=_preset_with("wavelength_nm", "1e-300"))
-    # Each of these once raised from the scan: a division by a zero grid
-    # step or sinc curvature, or math.ceil of an infinite grid extent.
-    @example(text=_preset_with("joint_q_extent", "inf"))
-    @example(text=_preset_with("joint_q_extent", "-inf"))
-    @example(text=_preset_with("joint_q_extent", "5e-324"))
+    # Each of these once raised from the scan: a division by a zero sinc
+    # curvature, or math.ceil of an infinite grid extent.
     @example(text=_preset_with("length_mm", "1e-320"))
     @example(text=_preset_with("slit_width_mm", "1.7976931348623157e308"))
     # Each of these once overflowed to inf and on to NaN: the Maker curve
@@ -793,9 +798,7 @@ class TestJointGridClipping:
         # An 80 mm pump grid of 4096 samples caps q_s + q_i at 1.61e5 rad/m,
         # below the 2.49e5 rad/m the automatic joint grid asks for.
         config = tmp_path / "coarse.ini"
-        config.write_text(scenario_to_text(load_scenario("paper-config-1"))
-                          .replace("grid_extent_mm = 20.0", "grid_extent_mm = 80.0"),
-                          encoding="utf-8")
+        config.write_text(_preset_with("grid_extent_mm", "80.0"), encoding="utf-8")
         out = tmp_path / "scan.csv"
         code = cli.main(["coincidence-scan", "--config", str(config), "--out", str(out),
                          "--mode", "both"])

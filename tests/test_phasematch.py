@@ -298,11 +298,11 @@ class TestEfficiencyDrop:
     @pytest.mark.parametrize("scan_range,distance", [(4.0, 1.0), (2e-3, 1e-323)])
     def test_angles_past_90_degrees_refused(self, ktp, freqs, designed_crystal,
                                             scan_range, distance):
-        # Past pi/2 the sine of the angle p / distance falls again, so a loose
-        # paraxial bound would pass; at 1e-323 m the angle overflowed to NaN.
+        # Past pi/2 the sine of the angle p / distance falls again; at
+        # 1e-323 m the angle overflowed to NaN. Both are refused before the
+        # paraxial guard reads the angles.
         with pytest.raises(ValidationError, match="passes 90 degrees"):
-            efficiency_drop_over_scan(scan_range, distance, freqs, designed_crystal, ktp,
-                                      paraxial_bound=0.99)
+            efficiency_drop_over_scan(scan_range, distance, freqs, designed_crystal, ktp)
 
     @pytest.mark.parametrize("distance", [0.0, -1.0])
     def test_requires_positive_distance(self, ktp, freqs, designed_crystal, distance):
