@@ -614,11 +614,13 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command,options,ratio", [
         ("maker-fringes", ["--alpha-max-deg", "80", "--alpha-step-deg", "1"], "0.5611"),
-        ("coincidence-scan", ["--mode", "analytic"], "0.2732")], ids=["maker", "scan"])
-    def test_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command, options,
-                                                ratio):
+        ("coincidence-scan", ["--mode", "analytic"], "0.2732")],
+        ids=["maker-fringes", "coincidence-scan"])
+    def test_tight_paraxial_bound_reaches_every_guard(self, tmp_path, capsys, command,
+                                                      options, ratio):
         # PARAXIAL_BOUND is the one bound, and both guards read it: an 80
-        # degree Maker curve and a 10 mm scan at 10 mm pass it.
+        # degree Maker curve and a 10 mm scan at 10 mm pass it. The analytic
+        # scan's efficiency-drop check once ignored the configured bound.
         config = tmp_path / "wide.ini"
         config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
                                   distance_mm="10", scan_range_mm="10.0", scan_step_mm="0.1"),
@@ -628,6 +630,19 @@ class TestExitCodeContract:
         assert code == 3
         assert f"|q|/k = {ratio} exceeds bound 0.2000" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_loose_paraxial_bound_reaches_the_analytic_scan(self, tmp_path, capsys):
+        # A 7 mm scan at 10 mm stays inside PARAXIAL_BOUND (a 7.2 mm one
+        # reaches |q|/k = 0.2007), so the guard lets the analytic scan run,
+        # and its efficiency drop is flagged as a regime violation.
+        config = tmp_path / "wide.ini"
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
+                                  distance_mm="10", scan_range_mm="7.0", scan_step_mm="0.1"),
+                          encoding="utf-8")
+        code = cli.main(["coincidence-scan", "--mode", "analytic", "--config", str(config),
+                         "--out", str(tmp_path / "scan.csv")])
+        assert code == 0, capsys.readouterr().err
+        assert "regime violation" in (tmp_path / "scan.csv").read_text()
 
     @pytest.mark.parametrize("mode", ["oracle", "analytic"])
     def test_subnormal_distance_exits_2_naming_the_scan(self, tmp_path, capsys, mode):
@@ -657,7 +672,7 @@ class TestExitCodeContract:
         # inf, 1e300 and 1 once switched the paraxial guards off (exit 0 at
         # |q|/k = 0.56 here); 0, -1 and nan tripped them (exit 3). The bound
         # is no longer a key, so no value reaches a guard; without the key
-        # this call exits 3 (test_paraxial_bound_reaches_every_guard).
+        # this call exits 3 (test_tight_paraxial_bound_reaches_every_guard).
         config = tmp_path / "bound.ini"
         text = scenario_to_text(load_scenario("paper-config-1"))
         config.write_text(f"{text}paraxial_bound = {value}\n", encoding="utf-8")
