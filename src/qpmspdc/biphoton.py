@@ -31,6 +31,14 @@ as the pump), just before it transports that block, and applies the pump
 and the normalization, a division by the pump's peak magnitude, where they
 factor out of its contractions. A scan's memory thus grows as N, not N^2;
 ``base_values`` fills the whole grid only for a caller that asks for it.
+A scan streams only about half the rows. The sinc argument
+const + a_s q_s^2 + a_i q_i^2 - a_p (q_s + q_i)^2 is even under
+(q_s, q_i) -> (-q_s, -q_i) (Walborn et al., Phys. Rep. 495, 87, 2010), and
+on the centred grid, with node c = N // 2 at q = 0, that is the point mirror
+(s, i) -> (2c - s, 2c - i). The pair sums are written (m - 2c) dq, so the
+pair-sum term is exactly even and a mirrored row is bitwise the streamed
+one; ``JointAmplitude`` refuses a grid or terms without that symmetry. On
+even N, row and column 0 have no mirror and are computed directly.
 The oracle's detector-position phases exp(i q p) on the evenly spaced scan
 positions are the product of two short tables.
 
@@ -154,6 +162,19 @@ class JointAmplitude:
                 raise ValidationError(f"joint amplitude {name} must hold {size} values")
             object.__setattr__(self, name, line)
         object.__setattr__(self, "q_signal", q)
+        # The scans stream half the grid and take the rest from its point
+        # mirror (s, i) -> (2c - s, 2c - i), c = N // 2, which needs the
+        # centred grid and exactly even sinc terms.
+        step = -q[n // 2 - 1] if n >= 2 else 0.0
+        if not (step > 0.0 and np.array_equal(q, centered_grid(n, step))):
+            raise ValidationError("joint amplitude q_signal must be a centred uniform grid "
+                                  "of at least 2 nodes, node N // 2 at q = 0")
+        edge = _unmirrored(n)
+        for name, start in (("signal_term", edge), ("idler_term", edge),
+                            ("pair_term", 2 * edge)):
+            line = getattr(self, name)[start:]
+            if not np.array_equal(line, line[::-1], equal_nan=True):
+                raise ValidationError(f"joint amplitude {name} must be even in q")
         peak = float(np.max(np.abs(self.pump_sums)))
         if peak == 0.0:
             raise ValidationError("joint amplitude is identically zero on this grid")
@@ -202,6 +223,21 @@ class JointAmplitude:
         if self.phase is None:
             return self.base_values
         return np.exp(1j * self.phase) * self.base_values
+
+
+def _unmirrored(n: int) -> int:
+    """Nodes at the low end of a centred n-node axis that have no mirror image.
+
+    Node j mirrors to 2c - j, c = n // 2; on even n node 0, at
+    q = -(n / 2) dq, would mirror to node n, off the grid.
+    """
+    return 1 - n % 2
+
+
+def _first_column(amplitude: JointAmplitude) -> np.ndarray:
+    """sinc(L A / 2) down grid column 0, summed in the order of ``sinc_rows``."""
+    n = amplitude.q_signal.size
+    return sinc(amplitude.signal_term + amplitude.idler_term[0] + amplitude.pair_term[:n])
 
 
 def _row_layout(rows: int, n: int) -> tuple:
@@ -406,8 +442,13 @@ def _position_phases(q: np.ndarray, positions: np.ndarray, out: np.ndarray) -> n
 
 
 def _pair_sums(q: np.ndarray) -> np.ndarray:
-    """The 2N-1 distinct values of q_s + q_i on a uniform grid, index m = s + i."""
-    return np.concatenate((q[0] + q, q[-1] + q[1:]))
+    """The 2N-1 distinct values of q_s + q_i on the centred grid, index m = s + i.
+
+    Each is (m - 2c) dq with c = N // 2, so the line is exactly odd about
+    m = 2c, the sum of two q = 0 nodes.
+    """
+    n = q.size
+    return (np.arange(2 * n - 1) - 2 * (n // 2)) * -q[n // 2 - 1]
 
 
 def _hankel(line: np.ndarray, n: int, rows: int | None = None) -> np.ndarray:
@@ -425,27 +466,47 @@ def _one_scanned(amplitude: JointAmplitude, positions: np.ndarray,
     """Amplitudes [scanned offset x fixed offset, scan position], one detector scanned.
 
     The grid's rows belong to the scanned photon (an idler scan is handed
-    the transposed amplitude). They are streamed a block at a time, times
-    the pump, and contracted with the fixed detector's phases; the
-    normalization is applied to the contraction. The scanned detector's
+    the amplitude with its signal and idler terms swapped). Every row is
+    pumped and contracted with the fixed detector's phases, and the
+    normalization is applied to the contraction; the scanned detector's
     phase exp(i q (P + o)) splits into a per-position and a per-offset
-    factor.
+    factor. Only the sinc rows 0..c, c = N // 2, are streamed: the sinc
+    argument is even under (q_s, q_i) -> (-q_s, -q_i), so on the centred
+    grid row 2c - s is row s reversed, and each block's rows below the
+    centre are pumped from the reversed view of the block before it is
+    overwritten. On even N, column 0 has no mirror; the mirrored rows take
+    it from ``_first_column``.
     """
     q = amplitude.q_signal
     n = q.size
-    rows = min(_STREAM_ROWS, n)
+    c = n // 2
+    edge = _unmirrored(n)
+    rows = min(_STREAM_ROWS, c + 1)
     offset_phases = _expi(np.multiply.outer(q, offsets))
     fixed_phases = offset_phases * chirp_fixed[:, None]
     n_off = offsets.size
     *buffers, block, fixed, weighted, table, detected = _buffers(_row_layout(rows, n) + (
         ((rows, n), complex), ((n, n_off), complex), ((n, n_off, n_off), complex),
         ((n, positions.size), complex), ((n_off * n_off, positions.size), complex)))
-    for start in range(0, n, rows):
-        block_sinc = amplitude.sinc_rows(start, buffers)
+    pump = amplitude.pump_sums
+    column = _first_column(amplitude) if edge else None
+    for start in range(0, c + 1, rows):
+        block_sinc = amplitude.sinc_rows(start, [b[:c + 1 - start] for b in buffers])
         count = block_sinc.shape[0]
-        pumped = np.multiply(_hankel(amplitude.pump_sums[start:], n, count), block_sinc,
-                             out=block[:count])
+        pumped = np.multiply(_hankel(pump[start:], n, count), block_sinc, out=block[:count])
         np.matmul(pumped, fixed_phases, out=fixed[start:start + count])
+        # Rows low..high-1 mirror to rows top..2c-low, in that order reversed.
+        low, high = max(start, edge), min(start + count, c)
+        if low < high:
+            mirrored = high - low
+            top = 2 * c - high + 1
+            reversed_sinc = block_sinc[low - start:high - start][::-1, edge:][:, ::-1]
+            np.multiply(_hankel(pump[top + edge:], n - edge, mirrored), reversed_sinc,
+                        out=block[:mirrored, edge:])
+            if edge:
+                np.multiply(pump[top:top + mirrored], column[top:top + mirrored],
+                            out=block[:mirrored, 0])
+            np.matmul(block[:mirrored], fixed_phases, out=fixed[top:top + mirrored])
     fixed.view(float)[...] /= amplitude.pump_peak
     scanned = offset_phases * chirp_scanned[:, None]
     np.multiply(scanned[:, :, None], fixed[:, None, :], out=weighted)
@@ -466,31 +527,60 @@ def _both_scanned(amplitude: JointAmplitude, positions: np.ndarray,
     sheared into the (s, m = s + i) layout and contracted; the pump and the
     normalization scale S afterwards, once per pair sum. Every block writes
     the same band of one work array, so its zeros are written once.
+
+    Only rows 0..c, c = N // 2, are streamed. The sinc and both chirps are
+    even under (q_s, q_i) -> (-q_s, -q_i), and on the centred grid that maps
+    (s, i) to (2c - s, 2c - i), m to 4c - m and, since exp(i q_s delta) is
+    odd, the offset difference d to D - 1 - d. So the rows s < c that have a
+    mirror are contracted into a second accumulator M, which adds to S both
+    as it is and as S[d, m] += M[D - 1 - d, 4c - m]; rows without a mirror
+    (row c, which is its own, and row 0 on even N) go to S alone. On even N
+    column 0 has no mirror either: it is left out of every block and added
+    from ``_first_column``. M shares the memory of ``terms``, which is
+    written only after M is folded into S.
     """
     q = amplitude.q_signal
     n = q.size
+    c = n // 2
+    edge = _unmirrored(n)
     n_off = offsets.size
     differences = np.concatenate((offsets[0] - offsets[:0:-1], offsets - offsets[0]))
     signal_phases = _expi(np.multiply.outer(differences, q))
     signal_phases *= chirp_signal
-    rows = min(_STREAM_ROWS, n)
+    rows = min(_STREAM_ROWS, c + 1)
     *buffers, work, product, s, terms, table, detected = _buffers(_row_layout(rows, n) + (
         ((rows, rows + n - 1), complex), ((differences.size, rows + n - 1), complex),
         ((differences.size, 2 * n - 1), complex), ((n_off, n_off, 2 * n - 1), complex),
         ((2 * n - 1, positions.size), complex), ((n_off * n_off, positions.size), complex)))
+    mirror = terms.reshape(-1, 2 * n - 1)[:differences.size]
     work.fill(0.0)
     s.fill(0.0)
-    for start in range(0, n, rows):
-        block_sinc = amplitude.sinc_rows(start, buffers)
+    mirror.fill(0.0)
+    for start in range(0, c + 1, rows):
+        block_sinc = amplitude.sinc_rows(start, [b[:c + 1 - start] for b in buffers])
         count = block_sinc.shape[0]
         sheared = work[:count, :count + n - 1]
         diagonals = as_strided(sheared, shape=block_sinc.shape,
                                strides=(sheared.strides[0] + sheared.strides[1],
                                         sheared.strides[1]))
         np.multiply(block_sinc, chirp_idler, out=diagonals)
-        band = np.matmul(signal_phases[:, start:start + count], sheared,
-                         out=product[:, :count + n - 1])
-        s[:, start:start + count + n - 1] += band
+        if edge:
+            diagonals[:, 0] = 0.0
+        low, high = max(start, edge), min(start + count, c)
+        for first, last, into in ((start, low, s), (low, high, mirror),
+                                  (high, start + count, s)):
+            if first < last:
+                band = np.matmul(signal_phases[:, first:last],
+                                 sheared[first - start:last - start,
+                                         first - start:last - start + n - 1],
+                                 out=product[:, :last - first + n - 1])
+                into[:, first:last + n - 1] += band
+    s += mirror
+    s[:, 2 * edge:] += mirror[::-1, 2 * edge:][:, ::-1]
+    if edge:
+        edge_column = np.multiply(signal_phases, _first_column(amplitude) * chirp_idler[0],
+                                  out=product[:, :n])
+        s[:, :n] += edge_column
     s *= amplitude.pump_sums / amplitude.pump_peak
     q_sum = _pair_sums(q)
     a_minus_b = np.subtract.outer(np.arange(n_off), np.arange(n_off)) + n_off - 1

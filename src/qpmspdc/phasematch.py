@@ -189,6 +189,17 @@ def check_scan_angle(scan_range: float, distance: float) -> None:
         raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
 
 
+def scan_angles(scan_range: float, distance: float) -> np.ndarray:
+    """External angles p / distance at which a centred scan's regime is judged.
+
+    ``_DROP_SAMPLES`` positions span +- scan_range/2; a scan past 90 degrees
+    is refused first (``check_scan_angle``). Both scan routes hold these
+    angles to the paraxial guard, so they agree on which scans are in range.
+    """
+    check_scan_angle(scan_range, distance)
+    return np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES) / distance
+
+
 def efficiency_drop_over_scan(scan_range: float, distance: float,
                               freqs: FrequencyPair, crystal: CrystalSpec,
                               model: IndexModel, *, convention: str = "external") -> float:
@@ -205,8 +216,7 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
         raise ValidationError(f"detection distance must be positive, got {distance!r}")
     if scan_range == 0.0:
         return 0.0
-    check_scan_angle(scan_range, distance)
-    positions = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES)
-    eff = maker_efficiency(positions / distance, freqs, crystal, model, convention=convention)
+    eff = maker_efficiency(scan_angles(scan_range, distance), freqs, crystal, model,
+                           convention=convention)
     return float(1.0 - np.min(eff))
 

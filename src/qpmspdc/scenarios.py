@@ -22,9 +22,8 @@ from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (check_scan_angle, crystal_indices, delta_kz_paraxial,
-                         fourier_coefficient, maker_efficiency,
-                         paraxial_mismatch_terms)
+from .phasematch import (crystal_indices, delta_kz_paraxial, fourier_coefficient,
+                         maker_efficiency, paraxial_mismatch_terms, scan_angles)
 
 
 def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
@@ -61,23 +60,31 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     This sizing is the only one a config gets; a grid study passes its own
     extent and count to ``build_joint_amplitude``. Returns (q_extent,
     samples, warnings); the warning reports an extent clipped to the pump
-    spectrum. A scan past 90 degrees is refused first, as the analytic scan
-    refuses it, before the Fresnel scales below can overflow into NaN.
+    spectrum. Before anything is sized, the scan gets the analytic scan's
+    verdict: one past 90 degrees is refused, and so is one whose
+    ``scan_angles`` break the paraxial guard, with the wavevectors,
+    wavenumbers and message that ``maker_efficiency`` gives those angles.
     """
     detection = config.detection
     crystal = config.crystal
     freqs = degenerate_pair(config)
     z = detection.distance
-    check_scan_angle(detection.scan_range, z)
-    k_dc = min(freqs.omega_signal, freqs.omega_idler) / C
+    k_signal = freqs.omega_signal / C
+    k_idler = freqs.omega_idler / C
+    k_dc = min(k_signal, k_idler)
     k_pump = freqs.omega_pump / C
+    # The detectors sit in air, so the angles meet the vacuum wavenumbers,
+    # signal and idler on opposite sides of the axis.
+    sin_angles = np.sin(scan_angles(detection.scan_range, z))
     _, a_signal, a_idler, _ = paraxial_mismatch_terms(
-        freqs, 0.0, 0.0, crystal, config.dispersion.model)
+        freqs, -k_signal * sin_angles, k_idler * sin_angles, crystal,
+        config.dispersion.model)
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
     beta = 0.5 * crystal.length * (a_signal + a_idler)
-    tail_target = 0.005 * math.sqrt(math.pi * k_dc / z)
-    # A sinc curvature that underflows to 0 asks for an unbounded extent.
-    curvature = 2.0 * beta * (z / k_dc) * tail_target
+    # The sinc-tail curvature 2 beta (z / k_dc) * 0.005 sqrt(pi k_dc / z),
+    # written so that no factor overflows where z underflows; one that
+    # underflows to 0 asks for an unbounded extent.
+    curvature = 0.01 * beta * math.sqrt(math.pi * z / k_dc)
     u_need = (1.0 / curvature) ** (1.0 / 3.0) if curvature else math.inf
     p_eff = 0.5 * detection.scan_range + 0.5 * detection.slit_width
     q_detector = 1.1 * k_dc * p_eff / z

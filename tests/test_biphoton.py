@@ -1,14 +1,16 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _hankel,
-                              _pair_sums, _position_phases, _row_layout,
+from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _buffers,
+                              _first_column, _hankel, _pair_sums,
+                              _position_phases, _row_layout,
                               _slit_offsets, build_joint_amplitude,
                               coincidence_scan_analytic,
                               coincidence_scan_oracle,
@@ -602,6 +604,89 @@ class TestOracleReference:
         # |re + i im| after scaling re and im apart: 1 to the last bit.
         assert abs(np.max(np.abs(on_design.base_values)) - 1.0) <= 2.0**-52
         assert 0.39 < np.max(np.abs(off_design.base_values)) < 0.40
+
+
+def mirror_case(samples):
+    """An off-phase-matching joint amplitude, k_s != k_i, on N nodes 1000 rad/m apart."""
+    freqs = FrequencyPair.from_pump(OMEGA_PUMP, 0.52 * OMEGA_PUMP, 0.48 * OMEGA_PUMP)
+    crystal = replace(vacuum_crystal(), poling_period=2e-2)
+    return build_joint_amplitude(gaussian_spectrum(), PUMP, crystal, freqs,
+                                 ConstantIndexModel(1.7), q_extent=1e3 * samples,
+                                 samples=samples, include_phase=False)
+
+
+class TestMirror:
+    """The oracle streams rows 0..N // 2 and takes the rest from the point mirror."""
+
+    @pytest.mark.parametrize("samples", [2, 3, 4, 5, 255, 256, 257])
+    @pytest.mark.parametrize("slit_width", [0.0, 5e-5])
+    def test_matches_brute_force_at_edge_sizes(self, samples, slit_width):
+        # N = 2 streams every row and mirrors none; odd N mirrors every row
+        # below the centre, even N all but row and column 0.
+        amplitude = mirror_case(samples)
+        detection = geometry(distance=0.05, slit_width=slit_width, scan_range=1e-3)
+        for mode in SCAN_MODES:
+            rates = coincidence_scan_oracle(amplitude, detection, mode).rates
+            expected = brute_force_oracle_rates(amplitude, detection, mode)
+            assert np.max(np.abs(rates - expected)) <= 1e-12, mode
+
+    @pytest.mark.parametrize("samples", [816, 817])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_mirrored_rows_are_the_streamed_rows(self, preset1, samples, swap):
+        # Row 2c - s is row s reversed, bit for bit, on both parities and
+        # for the idler scan's swapped terms; on even N, column 0 is the 1D sinc.
+        amplitude = build_joint_amplitude(
+            pump_spectrum(preset1), PUMP, preset1.crystal,
+            FrequencyPair.from_pump(OMEGA_PUMP, 0.5005 * OMEGA_PUMP, 0.4995 * OMEGA_PUMP),
+            preset1.dispersion.model, q_extent=2.5e5, samples=samples, include_phase=False)
+        if swap:
+            amplitude = replace(amplitude, signal_term=amplitude.idler_term,
+                                idler_term=amplitude.signal_term)
+        n, c, edge = samples, samples // 2, 1 - samples % 2
+        direct = amplitude.sinc_rows(0, _buffers(_row_layout(n, n)))
+        mirrored = direct[edge:c][::-1, edge:][:, ::-1]
+        assert np.array_equal(direct[c + 1:, edge:], mirrored)
+        if edge:
+            assert np.array_equal(direct[:, 0], _first_column(amplitude))
+
+    def test_pair_sums_are_exactly_odd(self):
+        for samples in (816, 817):
+            q = symmetric_q_grid(2.5e5, samples)
+            q_sum = _pair_sums(q)
+            centre = 2 * (samples // 2)
+            assert q_sum[centre] == 0.0
+            assert np.array_equal(q_sum[centre:], -q_sum[centre::-1][:q_sum.size - centre])
+
+    def test_refuses_a_grid_without_its_mirror(self):
+        amplitude = mirror_case(8)
+        q = amplitude.q_signal
+        with pytest.raises(ValidationError, match="centred uniform grid"):
+            replace(amplitude, q_signal=q + 0.5 * (q[1] - q[0]))
+        uneven = amplitude.signal_term.copy()
+        uneven[2] = np.nextafter(uneven[2], np.inf)
+        with pytest.raises(ValidationError, match="signal_term must be even"):
+            replace(amplitude, signal_term=uneven)
+        # Row and column 0 of an even grid have no mirror and may take any value.
+        replace(amplitude, signal_term=np.r_[1.0, amplitude.signal_term[1:]])
+
+    @pytest.mark.parametrize("name,samples", [("preset1", 816), ("preset2", 1072)])
+    def test_a_scan_streams_half_the_rows(self, request, name, samples):
+        config = request.getfixturevalue(name)
+        amplitude = joint_amplitude(config, include_phase=False)
+        assert amplitude.q_signal.size == samples
+        streamed = []
+        sinc_rows = JointAmplitude.sinc_rows
+
+        def counted(self, start, buffers):
+            block = sinc_rows(self, start, buffers)
+            streamed[-1] += block.shape[0]
+            return block
+
+        with mock.patch.object(JointAmplitude, "sinc_rows", counted):
+            for mode in SCAN_MODES:
+                streamed.append(0)
+                coincidence_scan_oracle(amplitude, config.detection, mode)
+        assert all(0 < rows <= samples // 2 + 1 for rows in streamed), streamed
 
 
 class TestStreaming:

@@ -631,6 +631,27 @@ class TestExitCodeContract:
         assert f"|q|/k = {ratio} exceeds bound 0.2000" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("geometry,ratio", [
+        (dict(distance_mm="10", scan_range_mm="10.0", scan_step_mm="0.1"), "0.2732"),
+        (dict(distance_mm="1e-317", scan_range_mm="1e-317", scan_step_mm="1e-317",
+              slit_width_mm="0"), "0.2781")],
+        ids=["10-mm-at-10-mm", "subnormal-scan"])
+    def test_every_mode_gets_one_paraxial_verdict(self, tmp_path, capsys, geometry, ratio):
+        # The oracle holds the analytic scan's angles to the paraxial guard
+        # before it sizes its grid. It once ran the 10 mm scan to exit 0 with
+        # a clipping warning, and turned the subnormal one (0.5 rad) into
+        # "joint grid q extent nan rad/m" (exit 2).
+        config = tmp_path / "wide.ini"
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")), **geometry),
+                          encoding="utf-8")
+        for mode in ("oracle", "analytic", "both"):
+            code, err = self._main(capsys, "coincidence-scan", "--mode", mode, "--config",
+                                   str(config), "--out", str(tmp_path / "scan.csv"))
+            assert code == 3, mode
+            assert err == (f"error: paraxiality guard violated: |q|/k = {ratio} "
+                           "exceeds bound 0.2000\n"), mode
+            assert not (tmp_path / "scan.csv").exists()
+
     def test_loose_paraxial_bound_reaches_the_analytic_scan(self, tmp_path, capsys):
         # A 7 mm scan at 10 mm stays inside PARAXIAL_BOUND (a 7.2 mm one
         # reaches |q|/k = 0.2007), so the guard lets the analytic scan run,
