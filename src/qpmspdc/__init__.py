@@ -7,14 +7,14 @@ law and a joint-amplitude transport oracle.
 """
 from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
                        coincidence_scan_analytic, coincidence_scan_oracle,
-                       normalized_cross_correlation, spectral_envelope)
+                       normalized_cross_correlation)
 from .config import (DispersionConfig, NumericsConfig, ScenarioConfig,
                      load_scenario, parse_scenario_text, scenario_to_text)
 from .core import (AXES, VACUUM_LIGHT_SPEED, CrystalSpec, DetectionGeometry,
                    FrequencyPair, PumpSpec, angular_frequency, sinc,
                    vacuum_wavelength)
 from .dispersion import (ConstantIndexModel, IndexModel, KtpIndexModel,
-                         TabulatedIndexModel, group_index)
+                         TabulatedIndexModel)
 from .errors import (ConfigError, GridCompatibilityError, GridSizeError,
                      GuardError, ParaxialityError, PhaseMatchingError,
                      SamplingGuardError, SimulationError, ValidationError,

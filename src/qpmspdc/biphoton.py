@@ -42,8 +42,7 @@ even N, row and column 0 have no mirror and are computed directly.
 The oracle's detector-position phases exp(i q p) on the evenly spaced scan
 positions are the product of two short tables.
 
-Spatial scans are evaluated at fixed frequencies; a detuned pair enters the
-sinc argument through the pump group-index term of A. The generation phase
+Spatial scans are evaluated at one fixed frequency pair. The generation phase
 exp(i L_z A / 2), kept with the amplitude on request, is that same sinc
 argument and encodes the longitudinal birth position. Single-plane
 intensities depend on it only weakly: transporting the phase-carrying
@@ -68,8 +67,7 @@ from .dispersion import IndexModel
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
 from .fields import AngularSpectrum, SampledField
-from .phasematch import (detuning_term, efficiency_drop_over_scan,
-                         paraxial_mismatch_terms)
+from .phasematch import efficiency_drop_over_scan, paraxial_mismatch_terms
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
 
@@ -85,18 +83,6 @@ _SLIT_SAMPLES = 8
 # notice, then a regime violation of the pump-transfer law.
 _NOTICE_DROP = 0.01
 _REGIME_DROP = 0.05
-
-
-def spectral_envelope(freqs: FrequencyPair, pump: PumpSpec) -> float:
-    """Gaussian pulse spectrum factor exp(-(delta_omega tau)^2 / 2).
-
-    A CW pump (no pulse duration) is monochromatic: 1 at zero detuning, 0
-    anywhere else.
-    """
-    tau = pump.pulse_duration
-    if tau is None:
-        return 1.0 if freqs.delta_omega == 0.0 else 0.0
-    return math.exp(-(freqs.delta_omega * tau) ** 2 / 2.0)
 
 
 def sample_pump_spectrum(spectrum: AngularSpectrum, q_values: np.ndarray) -> np.ndarray:
@@ -284,23 +270,19 @@ def build_joint_amplitude(pump_spectrum: AngularSpectrum, pump: PumpSpec,
     through a Hankel view. The sinc argument L A / 2 is likewise kept as 1D
     terms, a signal term plus an idler term plus a pair-sum term read through
     the same Hankel view (``paraxial_mismatch_terms``). No N x N grid is
-    filled here. The spectral envelope is one scalar, which the pump-peak
-    normalization cancels, so it only decides whether the amplitude is
-    identically zero, as an all-zero pump does. ``include_phase``
-    marks the amplitude as carrying the generation phase, the sinc argument,
+    filled here. ``pump`` is accepted but no computation reads it: the
+    pump's field is already in ``pump_spectrum``. ``include_phase`` marks
+    the amplitude as carrying the generation phase, the sinc argument,
     which ``JointAmplitude.phase`` sums from the same three terms on request.
     """
     q = symmetric_q_grid(q_extent, samples)
     q_sum = _pair_sums(q)
     pump_sums = sample_pump_spectrum(pump_spectrum, q_sum)
-    detuning = detuning_term(freqs, crystal, model)
     constant, a_signal, a_idler, a_pump = paraxial_mismatch_terms(
         freqs, q, q, crystal, model)
-    if spectral_envelope(freqs, pump) == 0.0:
-        raise ValidationError("joint amplitude is identically zero on this grid")
     half_length = 0.5 * crystal.length
     return JointAmplitude(q_signal=q, pump_sums=pump_sums,
-                          signal_term=(constant - detuning + a_signal * q * q) * half_length,
+                          signal_term=(constant + a_signal * q * q) * half_length,
                           idler_term=a_idler * q * q * half_length,
                           pair_term=-a_pump * q_sum * q_sum * half_length,
                           freqs=freqs, include_phase=include_phase)

@@ -100,9 +100,6 @@ class DispersionConfig:
         The ``design`` poling period and the scenario's pipelines then run on
         one model, so a table file is read once per configuration.
         """
-        return self.make_model()
-
-    def make_model(self) -> IndexModel:
         if self.kind == "ktp":
             return KtpIndexModel()
         if self.kind == "constant":
@@ -177,8 +174,8 @@ _CRYSTAL = _keys(CrystalSpec,
 _POLING = _Key("poling_period_um", "poling_period", _Kind(
     "a number or 'design'", lambda raw: raw if raw == "design" else _UM.parse(raw),
     _UM.format))
-# Every command runs at the degenerate pair, where a pulse's spectral
-# envelope is exactly 1, so the file format has no pump timing key.
+# Every command runs at the degenerate pair, which no pulse duration
+# changes, so the file format has no pump timing key.
 _PUMP = _keys(PumpSpec,
               ("wavelength_nm", "center_wavelength", _NM),
               ("waist_mm", "waist_radius", _MM),

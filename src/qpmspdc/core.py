@@ -133,7 +133,8 @@ class PumpSpec:
     is the longitudinal coordinate of the waist plane (same frame as element
     positions; crystal entrance face at z = 0, upstream negative).
     pulse_duration is the Gaussian width tau in seconds, or None for a CW
-    pump.
+    pump. It is validated, but no computation reads it: every scan runs at
+    the degenerate pair.
     """
 
     center_wavelength: float
@@ -195,39 +196,27 @@ class DetectionGeometry:
 
 @dataclass(frozen=True)
 class FrequencyPair:
-    """Signal/idler angular frequencies plus the pump detuning.
+    """Signal/idler angular frequencies; the pump's is their sum.
 
-    delta_omega = omega_pump - omega_signal - omega_idler; downstream code
-    recovers the pump frequency from the three stored values, so the pair is
-    consistent with its pump by construction.
+    Energy conservation fixes omega_pump = omega_signal + omega_idler, so
+    the pair is consistent with its pump by construction.
     """
 
     omega_signal: float
     omega_idler: float
-    delta_omega: float = 0.0
 
     def __post_init__(self) -> None:
         _require(math.isfinite(self.omega_signal) and self.omega_signal > 0,
                  f"signal frequency must be positive, got {self.omega_signal!r}")
         _require(math.isfinite(self.omega_idler) and self.omega_idler > 0,
                  f"idler frequency must be positive, got {self.omega_idler!r}")
-        _require(math.isfinite(self.delta_omega),
-                 f"detuning must be finite, got {self.delta_omega!r}")
 
     @classmethod
     def degenerate(cls, omega_pump: float) -> "FrequencyPair":
-        """Both photons at half the pump frequency, zero detuning exactly."""
+        """Both photons at half the pump frequency, which their sum gives back exactly."""
         half = 0.5 * omega_pump
-        return cls(omega_signal=half, omega_idler=half, delta_omega=0.0)
-
-    @classmethod
-    def from_pump(cls, omega_pump: float, omega_signal: float, omega_idler: float) -> "FrequencyPair":
-        return cls(
-            omega_signal=omega_signal,
-            omega_idler=omega_idler,
-            delta_omega=omega_pump - omega_signal - omega_idler,
-        )
+        return cls(omega_signal=half, omega_idler=half)
 
     @property
     def omega_pump(self) -> float:
-        return self.omega_signal + self.omega_idler + self.delta_omega
+        return self.omega_signal + self.omega_idler

@@ -1,4 +1,4 @@
-"""Refractive-index and group-index models for the nonlinear crystal.
+"""Refractive-index models for the nonlinear crystal.
 
 The default crystal is KTP with the Sellmeier fits and thermo-optic
 dispersion of Kato & Takaoka, Appl. Opt. 41, 5040 (2002). Any model with the
@@ -188,22 +188,3 @@ class TabulatedIndexModel(IndexModel):
         lo, hi = j - 1, j
         t = (wavelength - ws[lo]) / (ws[hi] - ws[lo])
         return ns[lo] + t * (ns[hi] - ns[lo])
-
-
-def group_index(model: IndexModel, wavelength: float, axis: str,
-                temperature_c: float, step: float | None = None) -> float:
-    """Group index n_g = n - lambda * dn/dlambda by central finite difference.
-
-    Default step max(1e-12 m, 1e-6 * lambda): well inside Sellmeier
-    smoothness, safely above floating-point noise. Both lambda +- step must
-    lie inside the model window.
-    """
-    if step is None:
-        step = max(1e-12, 1e-6 * wavelength)
-    if not (math.isfinite(step) and step > 0):
-        raise ValidationError(f"finite-difference step must be positive, got {step!r}")
-    n = model.index(wavelength, axis, temperature_c)
-    n_hi = model.index(wavelength + step, axis, temperature_c)
-    n_lo = model.index(wavelength - step, axis, temperature_c)
-    slope = (n_hi - n_lo) / (2.0 * step)
-    return n - wavelength * slope

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import CrystalSpec, FrequencyPair, angular_frequency, sinc, vacuum_wavelength
-from .dispersion import IndexModel, group_index
+from .dispersion import IndexModel
 from .errors import ParaxialityError, PhaseMatchingError, ValidationError
 
 CONVENTIONS = ("external", "internal")
@@ -115,27 +115,17 @@ def delta_kz_paraxial(freqs: FrequencyPair, q_signal, q_idler,
     return out
 
 
-def detuning_term(freqs: FrequencyPair, crystal: CrystalSpec, model: IndexModel) -> float:
-    """n_g * delta_omega / c with the pump group index n_g; 0.0 at degeneracy."""
-    if freqs.delta_omega == 0.0:
-        return 0.0
-    n_g = group_index(model, vacuum_wavelength(freqs.omega_pump),
-                      crystal.pump_axis, crystal.temperature_c)
-    return n_g * freqs.delta_omega / C
-
-
 def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
                      model: IndexModel, *, convention: str = "external"):
     """Normalized QPM efficiency sinc^2(L_z A(alpha)/2) on the symmetric cone.
 
-    A = delta_kz - n_g * delta_omega / c is the phase-matching function. The
-    angle maps to transverse wavevectors with opposite signs
-    (q_i = +kappa_i sin alpha, q_s = -kappa_s sin alpha), so the symmetric
-    emission cone nearly cancels the pump cross term; the wavenumbers kappa
-    are the vacuum ones (external angles) or the crystal's (internal angles).
-    The pump group-index term (``detuning_term``) only matters off frequency
-    degeneracy. Equals 1 at alpha = 0 when the poling period solves the
-    collinear design; the first zero is the edge of the central Maker lobe.
+    A = delta_kz is the phase-matching function. The angle maps to
+    transverse wavevectors with opposite signs (q_i = +kappa_i sin alpha,
+    q_s = -kappa_s sin alpha), so the symmetric emission cone nearly cancels
+    the pump cross term; the wavenumbers kappa are the vacuum ones (external
+    angles) or the crystal's (internal angles). Equals 1 at alpha = 0 when
+    the poling period solves the collinear design; the first zero is the
+    edge of the central Maker lobe.
     """
     if convention not in CONVENTIONS:
         raise ValidationError(f"angle convention must be one of {CONVENTIONS}, got {convention!r}")
@@ -144,9 +134,8 @@ def maker_efficiency(alpha, freqs: FrequencyPair, crystal: CrystalSpec,
         _, n_s, n_i = crystal_indices(freqs, crystal, model)
     kappa_s, kappa_i = n_s * freqs.omega_signal / C, n_i * freqs.omega_idler / C
     sin_alpha = np.sin(np.asarray(alpha, dtype=float))
-    a_val = (delta_kz_paraxial(freqs, -kappa_s * sin_alpha, kappa_i * sin_alpha,
-                               crystal, model)
-             - detuning_term(freqs, crystal, model))
+    a_val = delta_kz_paraxial(freqs, -kappa_s * sin_alpha, kappa_i * sin_alpha,
+                              crystal, model)
     if not math.isfinite(crystal.length * float(np.max(np.abs(a_val)))):
         raise ValidationError(f"crystal length {crystal.length!r} m overflows L A / 2")
     return sinc(crystal.length * np.asarray(a_val) / 2.0) ** 2
@@ -160,16 +149,20 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
     """Poling period cancelling the collinear mismatch at the given wavelengths.
 
     Lambda = 2 pi m / [(n0 w0 - n_i w_i - n_s w_s)/c], equivalently
-    m / (n_p/lambda_p - n_s/lambda_s - n_i/lambda_i). Raises
+    m / (n_p/lambda_p - n_s/lambda_s - n_i/lambda_i). The pump frequency is
+    the pair's sum, so a pump wavelength that does not conserve energy with
+    the pair (to 1e-12 relative) raises ValidationError. Raises
     PhaseMatchingError when the collinear imbalance is not positive.
     """
     if not (isinstance(qpm_order, int) and qpm_order >= 1):
         raise ValidationError(f"QPM order must be an integer >= 1, got {qpm_order!r}")
-    freqs = FrequencyPair.from_pump(
-        angular_frequency(pump_wavelength),
-        angular_frequency(signal_wavelength),
-        angular_frequency(idler_wavelength),
-    )
+    omega_pump = angular_frequency(pump_wavelength)
+    freqs = FrequencyPair(angular_frequency(signal_wavelength),
+                          angular_frequency(idler_wavelength))
+    if not abs(freqs.omega_pump - omega_pump) <= 1e-12 * omega_pump:
+        raise ValidationError(
+            f"pump wavelength {pump_wavelength!r} m does not conserve energy with signal "
+            f"{signal_wavelength!r} m and idler {idler_wavelength!r} m")
     density = _collinear_density(freqs, _field_indices(
         freqs, pump_axis, signal_axis, idler_axis, temperature_c, model))
     if not density > 0.0:
@@ -180,23 +173,16 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
     return 2.0 * math.pi * qpm_order / density
 
 
-def check_scan_angle(scan_range: float, distance: float) -> None:
-    """Refuse a centred scan whose outer angle p / distance reaches 90 degrees, or overflows.
-
-    Past 90 degrees the angle wraps: its sine falls again.
-    """
-    if not 0.5 * scan_range / distance < 0.5 * math.pi:
-        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
-
-
 def scan_angles(scan_range: float, distance: float) -> np.ndarray:
     """External angles p / distance at which a centred scan's regime is judged.
 
-    ``_DROP_SAMPLES`` positions span +- scan_range/2; a scan past 90 degrees
-    is refused first (``check_scan_angle``). Both scan routes hold these
+    ``_DROP_SAMPLES`` positions span +- scan_range/2. A scan whose outer
+    angle reaches 90 degrees, where the angle wraps and its sine falls
+    again, or overflows, is refused first. Both scan routes hold these
     angles to the paraxial guard, so they agree on which scans are in range.
     """
-    check_scan_angle(scan_range, distance)
+    if not 0.5 * scan_range / distance < 0.5 * math.pi:
+        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
     return np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES) / distance
 
 

@@ -17,9 +17,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpmspdc import cli
-from qpmspdc.config import (PRESET_NAMES, DispersionConfig, _exact_unit_value,
-                            load_scenario, parse_scenario_text,
-                            scenario_to_text)
+from qpmspdc.config import (PRESET_NAMES, _exact_unit_value, load_scenario,
+                            parse_scenario_text, scenario_to_text)
+from qpmspdc.dispersion import KtpIndexModel
 from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
                             SimulationError, ValidationError,
                             WavelengthWindowError)
@@ -413,8 +413,7 @@ class TestCliCoincidenceScan:
 
     def test_one_index_model_per_command(self, tmp_path, capsys):
         # The preset's design poling period and the scan share one model.
-        with mock.patch.object(DispersionConfig, "make_model", autospec=True,
-                               side_effect=DispersionConfig.make_model) as make:
+        with mock.patch("qpmspdc.config.KtpIndexModel", wraps=KtpIndexModel) as make:
             code = cli.main(["coincidence-scan", "--config", "paper-config-1",
                              "--out", str(tmp_path / "scan.csv"), "--mode", "both"])
         assert code == 0, capsys.readouterr().err

@@ -177,15 +177,20 @@ class TestDetectionGeometry:
 class TestFrequencyPair:
     def test_degenerate_exact_zero_detuning(self):
         pair = FrequencyPair.degenerate(angular_frequency(413e-9))
-        assert pair.delta_omega == 0.0
         assert pair.omega_signal == pair.omega_idler
         assert pair.omega_pump == angular_frequency(413e-9)
 
-    def test_from_pump_consistency(self):
-        omega_pump = angular_frequency(413e-9)
-        pair = FrequencyPair.from_pump(omega_pump, 0.51 * omega_pump,
-                                       0.49 * omega_pump)
-        assert pair.omega_pump == pytest.approx(omega_pump, rel=1e-15)
+    # Below 2**-1021 half of w is subnormal and drops w's last bit.
+    @given(st.floats(min_value=2.0**-1021, allow_infinity=False))
+    def test_degenerate_pair_sums_to_its_pump_bitwise(self, omega):
+        assert FrequencyPair.degenerate(omega).omega_pump == omega
+
+    @given(st.floats(min_value=0.40e-6, max_value=1.58e-6))
+    def test_half_frequency_pair_sums_to_the_pump_bitwise(self, wavelength):
+        # angular_frequency(2 lambda) is angular_frequency(lambda) / 2
+        # exactly, so the degenerate design pair gives back the pump's double.
+        half = angular_frequency(2.0 * wavelength)
+        assert FrequencyPair(half, half).omega_pump == angular_frequency(wavelength)
 
     @given(st.floats(max_value=0.0, allow_nan=False))
     def test_rejects_nonpositive_frequencies(self, value):

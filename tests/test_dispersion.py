@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from qpmspdc.dispersion import (ConstantIndexModel, IndexModel,
-                                TabulatedIndexModel, group_index)
+from qpmspdc.dispersion import ConstantIndexModel, TabulatedIndexModel
 from qpmspdc.errors import ValidationError, WavelengthWindowError
 from qpmspdc.phasematch import design_poling_period
 
 # Frozen from an independent re-evaluation of the published coefficient set
-# (sympy script, exact symbolic derivative for the group index).
+# (sympy script).
 N_826_Z_40 = 1.8428295092249882
 N_413_Y_40 = 1.8350023711397159
-NG_413_Y_40 = 2.0968889708596112
 
 
 class TestConstantModel:
@@ -59,42 +57,6 @@ class TestKtpModel:
     def test_temperature_raises_index(self, ktp):
         # Positive thermo-optic coefficients at visible wavelengths.
         assert ktp.index(826e-9, "z", 60.0) > ktp.index(826e-9, "z", 20.0)
-
-
-class TestGroupIndex:
-    def test_constant_model(self):
-        model = ConstantIndexModel(1.5)
-        assert group_index(model, 826e-9, "z", 25.0) == pytest.approx(1.5, abs=1e-12)
-
-    def test_linear_model_recovers_intercept(self):
-        a, b = 1.6, 2.0e4  # n = a + b * lambda
-
-        class LinearIndexModel(IndexModel):
-            def window(self, axis):
-                return (1e-7, 1e-5)
-
-            def _evaluate(self, wavelength, axis, temperature_c):
-                return a + b * wavelength
-
-        model = LinearIndexModel()
-        assert group_index(model, 826e-9, "z", 25.0) == pytest.approx(a, rel=1e-10)
-
-    def test_ktp_normal_dispersion(self, ktp):
-        n = ktp.index(413e-9, "y", 40.0)
-        ng = group_index(ktp, 413e-9, "y", 40.0)
-        assert ng > n
-        assert ng == pytest.approx(NG_413_Y_40, rel=1e-8)
-
-    def test_richardson_step_halving(self, ktp):
-        step = 1e-6 * 826e-9
-        coarse = group_index(ktp, 826e-9, "z", 40.0, step=step)
-        fine = group_index(ktp, 826e-9, "z", 40.0, step=step / 2.0)
-        assert abs(fine - coarse) / abs(fine) < 1e-8
-
-    def test_window_violation_propagates(self, ktp):
-        lo, _ = ktp.window("y")
-        with pytest.raises(WavelengthWindowError):
-            group_index(ktp, lo, "y", 40.0)  # lo - step falls outside
 
 
 class TestTabulatedModel:

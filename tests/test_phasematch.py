@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qpmspdc.core import (CrystalSpec, FrequencyPair, VACUUM_LIGHT_SPEED,
-                          angular_frequency, sinc, vacuum_wavelength)
-from qpmspdc.dispersion import ConstantIndexModel, group_index
+                          angular_frequency, vacuum_wavelength)
+from qpmspdc.dispersion import ConstantIndexModel
 from qpmspdc.errors import (ParaxialityError, PhaseMatchingError,
                             ValidationError)
 from qpmspdc.phasematch import (crystal_indices, delta_kz_paraxial,
-                                design_poling_period, detuning_term,
+                                design_poling_period,
                                 efficiency_drop_over_scan, fourier_coefficient,
                                 grating_vector, maker_efficiency)
 
@@ -154,7 +154,7 @@ class TestDeltaKz:
 
 
 class TestMismatchA:
-    """The phase-matching function A = delta_kz - n_g delta_omega / c."""
+    """The phase-matching function A = delta_kz."""
 
     def test_matches_symmetric_specialization(self, ktp, freqs, designed_crystal):
         # Independent oracle: the degenerate symmetric-cone form with internal
@@ -178,16 +178,6 @@ class TestMismatchA:
             # cancellation (terms of order 2 pi / Lambda).
             tolerance = 1e-12 * abs(expected) + 1e-9
             assert got == pytest.approx(expected, abs=tolerance)
-
-    def test_detuning_term_is_exact(self, ktp, designed_crystal):
-        omega_pump = angular_frequency(413e-9)
-        detuned = FrequencyPair.from_pump(omega_pump, 0.502 * omega_pump,
-                                          0.497 * omega_pump)
-        n_g = group_index(ktp, 413e-9, "y", 40.0)
-        assert detuning_term(detuned, designed_crystal, ktp) == pytest.approx(
-            n_g * detuned.delta_omega / C, rel=1e-12)
-        degenerate = FrequencyPair.degenerate(omega_pump)
-        assert detuning_term(degenerate, designed_crystal, ktp) == 0.0
 
     def test_cross_term_vanishes_for_matched_fields(self, freqs):
         # Same axis, same frequency, same index: the pump cross term must
@@ -251,29 +241,19 @@ class TestMakerEfficiency:
         eff = maker_efficiency(alphas, freqs, designed_crystal, ktp)
         assert np.all(np.diff(eff) < 0)
 
-    @pytest.mark.parametrize("convention", ["external", "internal"])
-    def test_detuned_profile_is_sinc_of_a(self, ktp, designed_crystal, convention):
-        # Off degeneracy, sinc^2(L (delta_kz - n_g delta_omega / c) / 2).
-        omega_pump = angular_frequency(413e-9)
-        detuned = FrequencyPair.from_pump(omega_pump, 0.5 * omega_pump,
-                                          0.4999 * omega_pump)
-        n_g = group_index(ktp, 413e-9, "y", 40.0)
-        alphas = np.linspace(0.0, 5e-3, 11)
-        a_val = (cone_mismatch(alphas, detuned, designed_crystal, ktp, convention)
-                 - n_g * detuned.delta_omega / C)
-        expected = sinc(designed_crystal.length * a_val / 2.0) ** 2
-        got = maker_efficiency(alphas, detuned, designed_crystal, ktp,
-                               convention=convention)
-        assert 0.05 < got[0] < 0.95
-        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
-
-
 class TestDesignPolingPeriod:
     def test_reproduces_reference_crystal(self, ktp):
         period = design_poling_period(413e-9, 826e-9, 826e-9, model=ktp,
                                       **DESIGN_KWARGS)
         assert period == pytest.approx(DESIGN_POLING, rel=1e-12)
         assert abs(period - 11.4617e-6) / 11.4617e-6 < 0.05
+
+    def test_pump_that_breaks_energy_conservation_refused(self, ktp):
+        # The pump frequency is the pair's sum, so a pump wavelength that
+        # disagrees with it would go unread; 413 nm against 826 + 800 nm is
+        # refused instead.
+        with pytest.raises(ValidationError, match="does not conserve energy"):
+            design_poling_period(413e-9, 826e-9, 800e-9, model=ktp, **DESIGN_KWARGS)
 
     def test_no_phase_matching_for_constant_index(self):
         with pytest.raises(PhaseMatchingError):
