@@ -21,6 +21,10 @@ scanning, the fixed detector's transform is contracted first. Both are
 rearrangements of the same sum and match the full detector-pair transform
 to rounding.
 
+Both routes only compute. Whether a scan lies in the near-collinear regime
+is judged once per scan by the pipeline that runs it
+(``scenarios.run_coincidence``), which hands each route its warnings.
+
 The scan path builds every two-dimensional phase from one-dimensional
 factors, and never holds the N x N joint grid. The joint amplitude is the
 pump at q_s + q_i times sinc(L A / 2), and the paraxial mismatch A is a sum
@@ -67,7 +71,7 @@ from .dispersion import IndexModel
 from .errors import (GridCompatibilityError, SamplingGuardError,
                      ValidationError)
 from .fields import AngularSpectrum, SampledField
-from .phasematch import efficiency_drop_over_scan, paraxial_mismatch_terms
+from .phasematch import paraxial_mismatch_terms
 
 SCAN_MODES = ("both-together", "signal-only", "idler-only")
 
@@ -78,11 +82,6 @@ _STREAM_ROWS = 128
 
 # Midpoint-rule samples across a detector slit of nonzero width.
 _SLIT_SAMPLES = 8
-
-# QPM efficiency drops across an analytic scan above which it warns: a
-# notice, then a regime violation of the pump-transfer law.
-_NOTICE_DROP = 0.01
-_REGIME_DROP = 0.05
 
 
 def sample_pump_spectrum(spectrum: AngularSpectrum, q_values: np.ndarray) -> np.ndarray:
@@ -355,30 +354,15 @@ def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str, method: str,
 
 
 def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry,
-                              mode: str, *, crystal: CrystalSpec,
-                              model: IndexModel, freqs: FrequencyPair) -> ScanResult:
+                              mode: str, *, warnings: tuple[str, ...] = ()) -> ScanResult:
     """Transfer-law scan: |W(R)|^2 sampled from the detection-plane pump profile.
 
-    Valid in the nearly collinear regime; the QPM efficiency drop across the
-    scan, under the paraxial guard, is evaluated and attached as a warning
-    above 1%, with a stronger regime warning above 5%. The detectors sit in
-    air, so the drop reads their positions as external angles, with the
-    vacuum wavenumber the oracle's transport also uses. The curve is averaged
-    over the detector slit (midpoint rule).
+    Valid in the nearly collinear regime, which this routine does not judge;
+    ``warnings`` (the caller's regime verdict) are attached to the result.
+    The curve is averaged over the detector slit (midpoint rule).
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
-    drop = efficiency_drop_over_scan(geometry.scan_range, geometry.distance,
-                                     freqs, crystal, model)
-    warnings: list[str] = []
-    if drop > _REGIME_DROP:
-        warnings.append(
-            f"regime violation: QPM efficiency varies by {drop:.1%} across the scan "
-            f"(threshold {_REGIME_DROP:.1%}); the pump-transfer law is unreliable here")
-    elif drop > _NOTICE_DROP:
-        warnings.append(
-            f"QPM efficiency varies by {drop:.1%} across the scan "
-            f"(notice level {_NOTICE_DROP:.1%})")
     positions = scan_positions(geometry)
     offsets = _slit_offsets(geometry.slit_width)
     sample_points = _mean_position_map(mode, positions[:, None] + offsets[None, :])
@@ -394,7 +378,7 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
     intensity = np.interp(sample_points.ravel(), x, profile.intensity).reshape(
         sample_points.shape)
     raw = intensity.mean(axis=1)
-    return _finalize(positions, raw, mode, "analytic", tuple(warnings))
+    return _finalize(positions, raw, mode, "analytic", warnings)
 
 
 def _expi(theta: np.ndarray) -> np.ndarray:

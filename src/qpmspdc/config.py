@@ -21,7 +21,7 @@ from functools import cached_property, partial
 from importlib import resources
 from typing import Any, Callable, NamedTuple
 
-from .core import CrystalSpec, DetectionGeometry, PumpSpec
+from .core import MAX_GRID_SAMPLES, CrystalSpec, DetectionGeometry, PumpSpec
 from .dispersion import (ConstantIndexModel, IndexModel, KtpIndexModel,
                          TabulatedIndexModel)
 from .errors import ConfigError
@@ -118,13 +118,24 @@ class NumericsConfig:
 
     The oracle's joint grid is sized from the detection geometry
     (``scenarios.auto_joint_grid``) and the paraxial guard holds at
-    ``phasematch.PARAXIAL_BOUND``; neither is a key.
+    ``phasematch.PARAXIAL_BOUND``; neither is a key. The pump grid is checked
+    on construction: a power-of-two sample count up to MAX_GRID_SAMPLES and
+    a positive, finite extent.
     """
 
     grid_samples: int = 4096
     grid_extent: float = 0.02
     angle_convention: str = "external"
     normalize: bool = True
+
+    def __post_init__(self) -> None:
+        n = self.grid_samples
+        if not (2 <= n <= MAX_GRID_SAMPLES and n & (n - 1) == 0):
+            raise ConfigError(f"[numerics] grid_samples must be a power of two up to "
+                              f"{MAX_GRID_SAMPLES}, got {n!r}")
+        if not (math.isfinite(self.grid_extent) and self.grid_extent > 0):
+            raise ConfigError(f"[numerics] grid_extent_mm must be positive and finite, "
+                              f"got {self.grid_extent * 1e3:g}")
 
 
 @dataclass(frozen=True)

@@ -173,28 +173,18 @@ def design_poling_period(pump_wavelength: float, signal_wavelength: float,
     return 2.0 * math.pi * qpm_order / density
 
 
-def scan_angles(scan_range: float, distance: float) -> np.ndarray:
-    """External angles p / distance at which a centred scan's regime is judged.
-
-    ``_DROP_SAMPLES`` positions span +- scan_range/2. A scan whose outer
-    angle reaches 90 degrees, where the angle wraps and its sine falls
-    again, or overflows, is refused first. Both scan routes hold these
-    angles to the paraxial guard, so they agree on which scans are in range.
-    """
-    if not 0.5 * scan_range / distance < 0.5 * math.pi:
-        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
-    return np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES) / distance
-
-
 def efficiency_drop_over_scan(scan_range: float, distance: float,
                               freqs: FrequencyPair, crystal: CrystalSpec,
                               model: IndexModel, *, convention: str = "external") -> float:
     """Worst QPM efficiency loss across a detector scan of total extent scan_range.
 
-    The scan is centred on the axis (positions +- scan_range/2); a detector
-    at offset p sees the emission angle p / distance (small angles). Returns
-    1 - min over the scan of maker_efficiency at those angles, whose paraxial
-    guard holds them below PARAXIAL_BOUND.
+    The scan is centred on the axis: ``_DROP_SAMPLES`` positions span
+    +- scan_range/2, and a detector at offset p sees the emission angle
+    p / distance. A scan whose outer angle reaches 90 degrees, where the
+    angle wraps and its sine falls again, or overflows, is refused first.
+    Returns 1 - min over the scan of maker_efficiency at those angles, whose
+    paraxial guard holds them below PARAXIAL_BOUND; this is the regime
+    verdict ``scenarios`` gives every coincidence scan.
     """
     if scan_range < 0:
         raise ValidationError(f"scan range must be >= 0, got {scan_range!r}")
@@ -202,7 +192,8 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
         raise ValidationError(f"detection distance must be positive, got {distance!r}")
     if scan_range == 0.0:
         return 0.0
-    eff = maker_efficiency(scan_angles(scan_range, distance), freqs, crystal, model,
-                           convention=convention)
+    if not 0.5 * scan_range / distance < 0.5 * math.pi:
+        raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
+    angles = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES) / distance
+    eff = maker_efficiency(angles, freqs, crystal, model, convention=convention)
     return float(1.0 - np.min(eff))
-

@@ -22,8 +22,13 @@ from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
 from .errors import ValidationError
 from .fields import (AngularSpectrum, SampledField, march_to_crystal_exit,
                      propagate, to_angular_spectrum)
-from .phasematch import (crystal_indices, delta_kz_paraxial, fourier_coefficient,
-                         maker_efficiency, paraxial_mismatch_terms, scan_angles)
+from .phasematch import (crystal_indices, delta_kz_paraxial, efficiency_drop_over_scan,
+                         fourier_coefficient, maker_efficiency, paraxial_mismatch_terms)
+
+# QPM efficiency drops across a coincidence scan above which the analytic
+# scan warns: a notice, then a regime violation of the pump-transfer law.
+_NOTICE_DROP = 0.01
+_REGIME_DROP = 0.05
 
 
 def degenerate_pair(config: ScenarioConfig) -> FrequencyPair:
@@ -48,6 +53,22 @@ def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
     return to_angular_spectrum(_crystal_exit_field(config))
 
 
+def _regime_warnings(config: ScenarioConfig) -> tuple[str, ...]:
+    """The scan's regime verdict: a refusal past 90 degrees or the paraxial
+    guard, else the analytic scan's warnings on its QPM efficiency drop. The
+    detectors sit in air, so their angles are external ones."""
+    drop = efficiency_drop_over_scan(config.detection.scan_range, config.detection.distance,
+                                     degenerate_pair(config), config.crystal,
+                                     config.dispersion.model)
+    if drop > _REGIME_DROP:
+        return (f"regime violation: QPM efficiency varies by {drop:.1%} across the scan "
+                f"(threshold {_REGIME_DROP:.1%}); the pump-transfer law is unreliable here",)
+    if drop > _NOTICE_DROP:
+        return (f"QPM efficiency varies by {drop:.1%} across the scan "
+                f"(notice level {_NOTICE_DROP:.1%})",)
+    return ()
+
+
 def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
                     ) -> tuple[float, int, tuple[str, ...]]:
     """Joint (q_s, q_i) grid sized for the configured detection geometry.
@@ -60,10 +81,8 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     This sizing is the only one a config gets; a grid study passes its own
     extent and count to ``build_joint_amplitude``. Returns (q_extent,
     samples, warnings); the warning reports an extent clipped to the pump
-    spectrum. Before anything is sized, the scan gets the analytic scan's
-    verdict: one past 90 degrees is refused, and so is one whose
-    ``scan_angles`` break the paraxial guard, with the wavevectors,
-    wavenumbers and message that ``maker_efficiency`` gives those angles.
+    spectrum. It only sizes: whether the scan is in the paraxial regime is
+    judged by its callers, before they size.
     """
     detection = config.detection
     crystal = config.crystal
@@ -73,12 +92,8 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     k_idler = freqs.omega_idler / C
     k_dc = min(k_signal, k_idler)
     k_pump = freqs.omega_pump / C
-    # The detectors sit in air, so the angles meet the vacuum wavenumbers,
-    # signal and idler on opposite sides of the axis.
-    sin_angles = np.sin(scan_angles(detection.scan_range, z))
-    _, a_signal, a_idler, _ = paraxial_mismatch_terms(
-        freqs, -k_signal * sin_angles, k_idler * sin_angles, crystal,
-        config.dispersion.model)
+    _, a_signal, a_idler, _ = paraxial_mismatch_terms(freqs, 0.0, 0.0, crystal,
+                                                      config.dispersion.model)
     # Quadratic sinc coefficient along the anti-diagonal, times L/2.
     beta = 0.5 * crystal.length * (a_signal + a_idler)
     # The sinc-tail curvature 2 beta (z / k_dc) * 0.005 sqrt(pi k_dc / z),
@@ -93,8 +108,10 @@ def auto_joint_grid(config: ScenarioConfig, spectrum: AngularSpectrum
     # The pump spectrum supplies q_s + q_i only up to its last node, and the
     # pair sums of a joint grid of that q extent stay below it; clip the
     # automatic size to that, and say so. The stationary wavevector of outer
-    # scan positions can then fall off the grid and the oracle rates collapse
-    # there.
+    # scan positions can then fall off the grid, yet the rates there need not
+    # collapse: paper-config-1 on a 640 mm pump grid, clipped below it,
+    # still meets the transfer law to 4e-4 at the scan ends, while the gap
+    # near the centre grows to 0.061.
     pump_reach = float(spectrum.q[-1])
     q_extent = min(2.0 * half, pump_reach)
     warnings: tuple[str, ...] = ()
@@ -128,8 +145,10 @@ def _sized_joint_amplitude(config: ScenarioConfig, spectrum: AngularSpectrum,
 
 def joint_amplitude(config: ScenarioConfig, *, include_phase: bool = True,
                     spectrum: AngularSpectrum | None = None) -> JointAmplitude:
+    """Joint amplitude on the automatic grid, once the scan has passed its verdict."""
     if spectrum is None:
         spectrum = pump_spectrum(config)
+    _regime_warnings(config)
     return _sized_joint_amplitude(config, spectrum, include_phase)[0]
 
 
@@ -144,16 +163,18 @@ class CoincidenceOutput:
 
 def run_coincidence(config: ScenarioConfig, *, detectors: str = "both-together",
                     method: str = "analytic") -> CoincidenceOutput:
+    """Coincidence scan by the transfer law, the oracle, or both, judged once
+    (``_regime_warnings``) after the pump march, whatever the method."""
     if method not in ("analytic", "oracle", "both"):
         raise ValidationError(f"method must be analytic, oracle, or both, got {method!r}")
     exit_field = _crystal_exit_field(config)
+    regime_warnings = _regime_warnings(config)
     analytic = None
     oracle = None
     if method in ("analytic", "both"):
         profile = propagate(exit_field, config.detection.distance)
-        analytic = coincidence_scan_analytic(
-            profile, config.detection, detectors, crystal=config.crystal,
-            model=config.dispersion.model, freqs=degenerate_pair(config))
+        analytic = coincidence_scan_analytic(profile, config.detection, detectors,
+                                             warnings=regime_warnings)
     if method in ("oracle", "both"):
         amplitude, grid_warnings = _sized_joint_amplitude(
             config, to_angular_spectrum(exit_field), include_phase=False)

@@ -271,9 +271,7 @@ class TestScans:
     def test_slit_width_zero_reproduces_pointwise_profile(self, ktp, preset1):
         profile = pump_profile(preset1)
         geo = geometry(slit_width=0.0, scan_range=1.5e-3, scan_step=2.5e-5)
-        result = coincidence_scan_analytic(
-            profile, geo, "both-together", crystal=preset1.crystal, model=ktp,
-            freqs=DEGENERATE)
+        result = coincidence_scan_analytic(profile, geo, "both-together")
         expected = np.interp(result.positions, profile.x, profile.intensity)
         np.testing.assert_allclose(result.rates, expected / expected.max(),
                                    rtol=1e-12)
@@ -325,8 +323,7 @@ class TestScans:
         profile = propagate(field, distance)
         for mode in SCAN_MODES:
             oracle = coincidence_scan_oracle(amplitude, geo, mode).rates
-            analytic = coincidence_scan_analytic(profile, geo, mode, crystal=crystal,
-                                                 model=model, freqs=DEGENERATE).rates
+            analytic = coincidence_scan_analytic(profile, geo, mode).rates
             assert np.max(np.abs(oracle - oracle[::-1])) <= 1e-9
             assert np.max(np.abs(analytic - analytic[::-1])) <= 1e-9
 

@@ -24,8 +24,9 @@ from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
                             SimulationError, ValidationError,
                             WavelengthWindowError)
 from qpmspdc.fields import MultiSlitAperture, ThinLens
-from qpmspdc.phasematch import CONVENTIONS
-from qpmspdc.scenarios import auto_joint_grid, pump_spectrum
+from qpmspdc.phasematch import CONVENTIONS, efficiency_drop_over_scan
+from qpmspdc.scenarios import (auto_joint_grid, joint_amplitude, pump_spectrum,
+                               run_coincidence)
 
 MINIMAL = """
 [crystal]
@@ -548,6 +549,37 @@ class TestExitCodeContract:
         assert needle in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["design-poling"], ["pump-propagate"], ["maker-fringes"], ["coincidence-scan"]])
+    @pytest.mark.parametrize("key,value,needle", [
+        ("grid_extent_mm", "-20", "grid_extent_mm must be positive and finite, got -20"),
+        ("grid_extent_mm", "0", "grid_extent_mm must be positive and finite, got 0"),
+        ("grid_extent_mm", "nan", "grid_extent_mm must be positive and finite, got nan"),
+        ("grid_extent_mm", "inf", "grid_extent_mm must be positive and finite, got inf"),
+        ("grid_samples", "0", "grid_samples must be a power of two up to 1048576, got 0"),
+        ("grid_samples", "3", "grid_samples must be a power of two up to 1048576, got 3"),
+        ("grid_samples", "-4096",
+         "grid_samples must be a power of two up to 1048576, got -4096")])
+    def test_invalid_numerics_exits_2_at_load(self, tmp_path, capsys, command, key, value,
+                                              needle):
+        # These values once loaded: design-poling exited 0 on each, and the
+        # pump march reported the extents as guard errors (exit 3).
+        config = tmp_path / "numerics.ini"
+        config.write_text(_preset_with(key, value), encoding="utf-8")
+        code, err = self._main(capsys, *command, "--config", str(config),
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert err == f"error: [numerics] {needle}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_positive_extent_too_small_for_the_waist_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "narrow.ini"
+        config.write_text(_preset_with("grid_extent_mm", "1"), encoding="utf-8")
+        code, err = self._main(capsys, "pump-propagate", "--config", str(config),
+                               "--out", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert "grid extent 0.001 m too small for waist" in err
+
     def test_wide_scan_oversizes_the_joint_grid_exits_2(self, tmp_path, capsys):
         # The automatic joint grid resolves the position phase of the outer
         # detector: 100 mm off axis, that needs 25600.3 samples a side.
@@ -650,6 +682,22 @@ class TestExitCodeContract:
             assert err == (f"error: paraxiality guard violated: |q|/k = {ratio} "
                            "exceeds bound 0.2000\n"), mode
             assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("method", ["analytic", "oracle", "both"])
+    def test_run_coincidence_judges_the_scan_once(self, method):
+        config = load_scenario("paper-config-1")
+        with mock.patch("qpmspdc.scenarios.efficiency_drop_over_scan",
+                        wraps=efficiency_drop_over_scan) as verdict:
+            run_coincidence(config, method=method)
+        assert verdict.call_count == 1
+
+    def test_joint_amplitude_refuses_a_scan_past_the_paraxial_bound(self):
+        # auto_joint_grid only sizes; joint_amplitude judges the scan first.
+        config = parse_scenario_text(rewrite(
+            scenario_to_text(load_scenario("paper-config-1")),
+            distance_mm="10", scan_range_mm="10.0", scan_step_mm="0.1"))
+        with pytest.raises(ParaxialityError, match=r"\|q\|/k = 0\.2732 exceeds"):
+            joint_amplitude(config, include_phase=False)
 
     def test_loose_paraxial_bound_reaches_the_analytic_scan(self, tmp_path, capsys):
         # A 7 mm scan at 10 mm stays inside PARAXIAL_BOUND (a 7.2 mm one
