@@ -21,8 +21,9 @@ scanning, the fixed detector's transform is contracted first. Both are
 rearrangements of the same sum and match the full detector-pair transform
 to rounding.
 
-Both routes only compute. Whether a scan lies in the near-collinear regime
-is judged once per scan by the pipeline that runs it
+Both routes only compute, on the detector points ``detector_samples`` lays
+out. Whether a scan lies in the near-collinear regime is judged once per
+scan, out to the outermost of those points, by the pipeline that runs it
 (``scenarios.run_coincidence``), which hands each route its warnings.
 
 The scan path builds every two-dimensional phase from one-dimensional
@@ -321,25 +322,16 @@ class ScanResult:
         object.__setattr__(self, "rates", rates)
 
 
-def scan_positions(geometry: DetectionGeometry) -> np.ndarray:
-    """Detector positions spanning +- scan_range/2 in scan_step increments."""
+def detector_samples(geometry: DetectionGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, offsets): positions over +- scan_range/2 in scan_step increments,
+    midpoint-rule offsets across one slit (one 0 for a zero width). A detector at
+    P reads the points P + o; both routes and the regime verdict read this layout."""
     steps = round(geometry.scan_range / geometry.scan_step)
-    return np.linspace(-0.5 * geometry.scan_range, 0.5 * geometry.scan_range,
-                       steps + 1)
-
-
-def _slit_offsets(slit_width: float) -> np.ndarray:
-    """Midpoint-rule sample offsets across one detector slit."""
-    if slit_width == 0.0:
-        return np.zeros(1)
-    return ((np.arange(_SLIT_SAMPLES) + 0.5) / _SLIT_SAMPLES - 0.5) * slit_width
-
-
-def _mean_position_map(mode: str, positions: np.ndarray) -> np.ndarray:
-    """R = (p_s + p_i)/2 for the detector motion pattern of each scan mode."""
-    if mode == "both-together":
-        return positions
-    return 0.5 * positions
+    edge = 0.5 * geometry.scan_range
+    offsets = np.zeros(1)
+    if geometry.slit_width:
+        offsets = ((np.arange(_SLIT_SAMPLES) + 0.5) / _SLIT_SAMPLES - 0.5) * geometry.slit_width
+    return np.linspace(-edge, edge, steps + 1), offsets
 
 
 def _finalize(positions: np.ndarray, raw: np.ndarray, mode: str, method: str,
@@ -359,13 +351,13 @@ def coincidence_scan_analytic(profile: SampledField, geometry: DetectionGeometry
 
     Valid in the nearly collinear regime, which this routine does not judge;
     ``warnings`` (the caller's regime verdict) are attached to the result.
-    The curve is averaged over the detector slit (midpoint rule).
+    The curve is averaged over one slit's ``detector_samples`` offsets.
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
-    positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width)
-    sample_points = _mean_position_map(mode, positions[:, None] + offsets[None, :])
+    positions, offsets = detector_samples(geometry)
+    # R = (p_s + p_i)/2: the points as they are when both detectors move, else half.
+    sample_points = (positions[:, None] + offsets) * (1.0 if mode == "both-together" else 0.5)
     x = profile.x
     if sample_points.min() < x[0] or sample_points.max() > x[-1]:
         reach = float(np.max(np.abs(sample_points)))
@@ -562,10 +554,10 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
 
     The coincidence amplitude at detector pair (p_s, p_i) is the double sum
     over the (q_s, q_i) grid of the phase-stripped joint amplitude times the
-    two transport factors; the squared modulus is then averaged over each
-    detector slit by the midpoint rule (incoherent integration). Only the
-    detector pairs a scan reads are formed; ``warnings`` (from sizing the
-    joint grid) are attached to the result.
+    two transport factors, at the ``detector_samples`` points; the squared
+    modulus is then averaged over both slits' offsets (incoherent
+    integration). Only the detector pairs a scan reads are formed;
+    ``warnings`` (from sizing the joint grid) are attached to the result.
     """
     if mode not in SCAN_MODES:
         raise ValidationError(f"scan mode must be one of {SCAN_MODES}, got {mode!r}")
@@ -573,8 +565,7 @@ def coincidence_scan_oracle(amplitude: JointAmplitude, geometry: DetectionGeomet
     k_signal = freqs.omega_signal / C
     k_idler = freqs.omega_idler / C
     z = geometry.distance
-    positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width)
+    positions, offsets = detector_samples(geometry)
     q = amplitude.q_signal
     dq = float(q[1] - q[0])
     q_max = float(np.max(np.abs(q)))

@@ -194,6 +194,9 @@ def efficiency_drop_over_scan(scan_range: float, distance: float,
         return 0.0
     if not 0.5 * scan_range / distance < 0.5 * math.pi:
         raise ValidationError(f"a {scan_range!r} m scan at {distance!r} m passes 90 degrees")
-    angles = np.linspace(-0.5 * scan_range, 0.5 * scan_range, _DROP_SAMPLES) / distance
+    # On a subnormal range the rounded step carries interior samples past the
+    # edge; the clip holds them to it, and moves no sample of a normal range.
+    edge = 0.5 * scan_range
+    angles = np.clip(np.linspace(-edge, edge, _DROP_SAMPLES), -edge, edge) / distance
     eff = maker_efficiency(angles, freqs, crystal, model, convention=convention)
     return float(1.0 - np.min(eff))

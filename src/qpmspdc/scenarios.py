@@ -14,7 +14,7 @@ import numpy as np
 
 from .biphoton import (JointAmplitude, ScanResult, build_joint_amplitude,
                        coincidence_scan_analytic, coincidence_scan_oracle,
-                       normalized_cross_correlation)
+                       detector_samples, normalized_cross_correlation)
 from .config import ScenarioConfig, designed_period
 from .core import VACUUM_LIGHT_SPEED as C
 from .core import (MAX_JOINT_SAMPLES, MAX_SCAN_POSITIONS, FrequencyPair,
@@ -55,11 +55,19 @@ def pump_spectrum(config: ScenarioConfig) -> AngularSpectrum:
 
 def _regime_warnings(config: ScenarioConfig) -> tuple[str, ...]:
     """The scan's regime verdict: a refusal past 90 degrees or the paraxial
-    guard, else the analytic scan's warnings on its QPM efficiency drop. The
-    detectors sit in air, so their angles are external ones."""
-    drop = efficiency_drop_over_scan(config.detection.scan_range, config.detection.distance,
-                                     degenerate_pair(config), config.crystal,
-                                     config.dispersion.model)
+    guard, first at the scan's edges and then at the outermost point either
+    detector reads (``detector_samples``), else the analytic scan's warnings
+    on its QPM efficiency drop across +- scan_range/2. The detectors sit in
+    air, so their angles are external ones."""
+    detection, freqs, model = config.detection, degenerate_pair(config), config.dispersion.model
+    drop = efficiency_drop_over_scan(detection.scan_range, detection.distance, freqs,
+                                     config.crystal, model)
+    positions, offsets = detector_samples(detection)
+    reach = float(np.max(np.abs(positions[:, None] + offsets)))
+    if not reach / detection.distance < 0.5 * math.pi:
+        raise ValidationError(f"a detector point {reach!r} m off axis at "
+                              f"{detection.distance!r} m passes 90 degrees")
+    maker_efficiency(reach / detection.distance, freqs, config.crystal, model)
     if drop > _REGIME_DROP:
         return (f"regime violation: QPM efficiency varies by {drop:.1%} across the scan "
                 f"(threshold {_REGIME_DROP:.1%}); the pump-transfer law is unreliable here",)

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from qpmspdc.biphoton import (SCAN_MODES, JointAmplitude, ScanResult, _buffers,
                               _first_column, _hankel, _pair_sums,
                               _position_phases, _row_layout,
-                              _slit_offsets, build_joint_amplitude,
+                              build_joint_amplitude,
                               coincidence_scan_analytic,
-                              coincidence_scan_oracle,
+                              coincidence_scan_oracle, detector_samples,
                               normalized_cross_correlation,
-                              sample_pump_spectrum, scan_positions,
-                              symmetric_q_grid)
+                              sample_pump_spectrum, symmetric_q_grid)
 from qpmspdc.cli import write_scan_csv
 from qpmspdc.core import (CrystalSpec, DetectionGeometry, FrequencyPair,
                           PumpSpec, angular_frequency, sinc)
@@ -65,8 +64,7 @@ def brute_force_oracle_rates(amplitude, geometry, mode):
     k_idler = amplitude.freqs.omega_idler / c
     z = geometry.distance
     q = amplitude.q_signal
-    positions = scan_positions(geometry)
-    offsets = _slit_offsets(geometry.slit_width)
+    positions, offsets = detector_samples(geometry)
     n_scan, n_off = positions.size, offsets.size
     scanned = (positions[:, None] + offsets[None, :]).ravel()
 
@@ -699,10 +697,13 @@ class TestScanResult:
 
     def test_scan_positions_cover_range(self):
         geo = geometry(scan_range=2e-3, scan_step=1e-4)
-        positions = scan_positions(geo)
+        positions, offsets = detector_samples(geo)
         assert positions[0] == -1e-3
         assert positions[-1] == 1e-3
         assert positions.size == 21
+        # Eight midpoint samples across the 0.1 mm slit, one for a zero width.
+        assert np.allclose(offsets, np.arange(-43.75e-6, 50e-6, 12.5e-6), rtol=0, atol=1e-18)
+        assert detector_samples(replace(geo, slit_width=0.0))[1].tolist() == [0.0]
 
 
 class TestCsvOutputs:

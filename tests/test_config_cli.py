@@ -17,16 +17,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpmspdc import cli
+from qpmspdc.biphoton import detector_samples
 from qpmspdc.config import (PRESET_NAMES, _exact_unit_value, load_scenario,
                             parse_scenario_text, scenario_to_text)
+from qpmspdc.core import DetectionGeometry
 from qpmspdc.dispersion import KtpIndexModel
 from qpmspdc.errors import (ConfigError, GuardError, ParaxialityError,
                             SimulationError, ValidationError,
                             WavelengthWindowError)
 from qpmspdc.fields import MultiSlitAperture, ThinLens
-from qpmspdc.phasematch import CONVENTIONS, efficiency_drop_over_scan
-from qpmspdc.scenarios import (auto_joint_grid, joint_amplitude, pump_spectrum,
-                               run_coincidence)
+from qpmspdc.phasematch import CONVENTIONS, efficiency_drop_over_scan, maker_efficiency
+from qpmspdc.scenarios import (_regime_warnings, auto_joint_grid, degenerate_pair,
+                               joint_amplitude, pump_spectrum, run_coincidence)
 
 MINIMAL = """
 [crystal]
@@ -665,13 +667,14 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("geometry,ratio", [
         (dict(distance_mm="10", scan_range_mm="10.0", scan_step_mm="0.1"), "0.2732"),
         (dict(distance_mm="1e-317", scan_range_mm="1e-317", scan_step_mm="1e-317",
-              slit_width_mm="0"), "0.2781")],
+              slit_width_mm="0"), "0.2732")],
         ids=["10-mm-at-10-mm", "subnormal-scan"])
     def test_every_mode_gets_one_paraxial_verdict(self, tmp_path, capsys, geometry, ratio):
         # The oracle holds the analytic scan's angles to the paraxial guard
         # before it sizes its grid. It once ran the 10 mm scan to exit 0 with
         # a clipping warning, and turned the subnormal one (0.5 rad) into
-        # "joint grid q extent nan rad/m" (exit 2).
+        # "joint grid q extent nan rad/m" (exit 2). The drop's samples once
+        # overshot that subnormal edge and reported 0.2781.
         config = tmp_path / "wide.ini"
         config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")), **geometry),
                           encoding="utf-8")
@@ -681,6 +684,28 @@ class TestExitCodeContract:
             assert code == 3, mode
             assert err == (f"error: paraxiality guard violated: |q|/k = {ratio} "
                            "exceeds bound 0.2000\n"), mode
+            assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("geometry,code,message", [
+        (dict(scan_range_mm="7.0", slit_width_mm="0.4"), 3,
+         "paraxiality guard violated: |q|/k = 0.2047 exceeds bound 0.2000"),
+        (dict(scan_range_mm="6.0", slit_width_mm="58", grid_extent_mm="80"), 2,
+         "a detector point 0.028375 m off axis at 0.01 m passes 90 degrees")],
+        ids=["slit-past-the-paraxial-bound", "slit-past-90-degrees"])
+    def test_verdict_holds_the_outermost_slit_point(self, tmp_path, capsys, geometry, code,
+                                                     message):
+        # Both scans' edges pass the verdict, but their slits read further
+        # out: to 3.675 mm, where |q|/k = 0.2047, and to 28.375 mm, 2.84 rad
+        # at 10 mm, where the sine has wrapped back under the bound. Both
+        # once exited 0 in every mode.
+        config = tmp_path / "slit.ini"
+        config.write_text(rewrite(scenario_to_text(load_scenario("paper-config-1")),
+                                  distance_mm="10", scan_step_mm="0.1", **geometry),
+                          encoding="utf-8")
+        for mode in ("oracle", "analytic", "both"):
+            got, err = self._main(capsys, "coincidence-scan", "--mode", mode, "--config",
+                                  str(config), "--out", str(tmp_path / "scan.csv"))
+            assert (got, err) == (code, f"error: {message}\n"), mode
             assert not (tmp_path / "scan.csv").exists()
 
     @pytest.mark.parametrize("method", ["analytic", "oracle", "both"])
@@ -874,6 +899,37 @@ class TestExitCodeProperty:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = cli.main([*command, "--config", str(config), "--out", os.devnull])
             assert code in (0, 2, 3), (command, text)
+
+
+class TestRegimeVerdictProperty:
+    # Edge angles around the paraxial bound (about 0.37 rad on paper-config-1)
+    # and slits whose outer samples reach it or pass 90 degrees.
+    @given(distance_mm=_num(5.0, 50.0), edge_angle=_num(0.25, 0.45),
+           slit_angle=st.one_of(_num(0.0, 0.3), _num(2.5, 3.2)),
+           steps=st.integers(1, 100))
+    @example(distance_mm=10.0, edge_angle=0.35, slit_angle=0.01, steps=70)
+    @example(distance_mm=10.0, edge_angle=0.35, slit_angle=0.04, steps=70)
+    @example(distance_mm=10.0, edge_angle=0.3, slit_angle=5.8, steps=60)
+    def test_verdict_passes_iff_every_detector_point_does(self, preset1, distance_mm,
+                                                          edge_angle, slit_angle, steps):
+        scan_range_mm = 2.0 * edge_angle * distance_mm
+        config = replace(preset1, detection=DetectionGeometry(
+            distance=distance_mm * 1e-3, slit_width=slit_angle * distance_mm * 1e-3,
+            scan_range=scan_range_mm * 1e-3, scan_step=scan_range_mm * 1e-3 / steps))
+        positions, offsets = detector_samples(config.detection)
+        angles = (positions[:, None] + offsets).ravel() / config.detection.distance
+        try:
+            maker_efficiency(angles, degenerate_pair(config), config.crystal,
+                             config.dispersion.model)
+            inside = bool(np.all(np.abs(angles) < 0.5 * math.pi))
+        except ParaxialityError:
+            inside = False
+        try:
+            _regime_warnings(config)
+            passed = True
+        except (ParaxialityError, ValidationError):
+            passed = False
+        assert passed == inside
 
 
 class TestJointGridClipping:

@@ -19,8 +19,10 @@ when BASE_REV cannot be read.
 The matrix:
 
 - both presets, as shipped and with ``temperature_c = 20.4``,
-  ``normalize = false``, ``angle_convention = internal`` or
-  ``grid_extent_mm = 80``;
+  ``normalize = false``, ``angle_convention = internal``,
+  ``grid_extent_mm = 80``, or a wide scan (``distance_mm = 10``,
+  ``scan_range_mm = 7``, ``scan_step_mm = 0.1``) whose outer slit points
+  sit just inside the paraxial bound;
 - on each: ``maker-fringes`` and ``pump-propagate`` with ``--plot``,
   ``design-poling`` to stdout, and ``coincidence-scan`` with ``--plot`` in
   every ``--mode`` x ``--detectors``;
@@ -57,6 +59,10 @@ VARIANTS = {
     "unnormalized": (("numerics", "normalize", "false"),),
     "internal-angles": (("numerics", "angle_convention", "internal"),),
     "grid-80mm": (("numerics", "grid_extent_mm", "80"),),
+    # Warns of a regime violation and a clipped joint grid; its outer slit
+    # points reach |q|/k = 0.198, just inside the paraxial bound.
+    "wide-scan": (("detection", "distance_mm", "10"), ("detection", "scan_range_mm", "7"),
+                  ("detection", "scan_step_mm", "0.1")),
 }
 MODES = ("analytic", "oracle", "both")
 DETECTORS = ("both", "signal", "idler")
